@@ -2,12 +2,17 @@
  * @file
  * google-benchmark microbenchmarks of the hot simulator components:
  * policy decisions (PWS/GWS/SWS/partial-tag), RegionTable lookups,
- * TagStore way search, the RNG, and the event queue.  These guard the
- * simulator's own performance — a full Fig-10 sweep runs hundreds of
- * millions of these operations.
+ * TagStore way search, the RNG, the event queue, and accord.trace/1
+ * decode and skip.  These guard the simulator's own performance — a
+ * full Fig-10 sweep runs hundreds of millions of these operations.
  */
 
 #include <benchmark/benchmark.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <memory>
+#include <string>
 
 #include "common/event_queue.hpp"
 #include "common/rng.hpp"
@@ -16,6 +21,9 @@
 #include "core/factory.hpp"
 #include "core/ganged.hpp"
 #include "dramcache/tag_store.hpp"
+#include "trace/bintrace.hpp"
+#include "trace/source.hpp"
+#include "trace/workloads.hpp"
 
 using namespace accord;
 
@@ -224,6 +232,93 @@ BM_EventQueueBurst(benchmark::State &state)
     benchmark::DoNotOptimize(sink);
 }
 
+/**
+ * A 1M-record accord.trace/1 file of the libq stream, written on first
+ * use and removed at exit.
+ */
+const std::string &
+benchTrace()
+{
+    struct TempTrace
+    {
+        std::string path = (std::filesystem::temp_directory_path()
+                            / "accord_bench_decode.trc")
+                               .string();
+
+        TempTrace()
+        {
+            trace::SourceContext ctx;
+            ctx.spec = trace::coreAssignment("libq", 1)[0];
+            auto src = trace::makeTrafficSource("synthetic(limit=1M)", ctx);
+            trace::BinTraceWriter writer(path);
+            while (!src->exhausted())
+                writer.append(src->next());
+        }
+
+        ~TempTrace() { std::remove(path.c_str()); }
+    };
+    static const TempTrace file;
+    return file.path;
+}
+
+/** accord.trace/1 decode: one iteration is one record (ns/record). */
+void
+BM_BinTraceDecode(benchmark::State &state)
+{
+    trace::BinTraceReader reader(benchTrace());
+    trace::Request req;
+    for (auto _ : state) {
+        if (!reader.next(req)) {
+            state.PauseTiming();
+            reader.rewind();
+            state.ResumeTiming();
+            reader.next(req);
+        }
+        benchmark::DoNotOptimize(req.line);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+/**
+ * One sampled-replay gap: skip 60000 kept records of a 4-way striped
+ * trace, then read one.  Arg 0 decodes the gap (a fresh source per
+ * pass has no index ahead of it); arg 1 seeks through the index a
+ * first pass left and decodes from the mark (not a stride multiple,
+ * so that part is not empty).
+ */
+void
+BM_TraceSourceSkip(benchmark::State &state)
+{
+    constexpr std::uint64_t kGap = 60'000;
+    const bool indexed = state.range(0) != 0;
+    auto fresh = [] {
+        return std::make_unique<trace::TraceSource>(benchTrace(), false,
+                                                    4, 0);
+    };
+    auto src = fresh();
+    if (indexed) {
+        while (!src->exhausted())
+            src->next();
+        src->rewind();
+    }
+    std::uint64_t left = src->size();
+    for (auto _ : state) {
+        if (left <= kGap) {
+            state.PauseTiming();
+            if (indexed)
+                src->rewind();
+            else
+                src = fresh();
+            left = src->size();
+            state.ResumeTiming();
+        }
+        src->skip(kGap);
+        benchmark::DoNotOptimize(src->next().line);
+        left -= kGap + 1;
+    }
+    state.SetItemsProcessed(state.iterations() * kGap);
+}
+
 /** Beyond-horizon delays: overflow-heap push plus migration. */
 void
 BM_EventQueueFarFuture(benchmark::State &state)
@@ -251,6 +346,8 @@ BENCHMARK(BM_TelemetryOn);
 BENCHMARK(BM_EventQueue);
 BENCHMARK(BM_EventQueueBurst);
 BENCHMARK(BM_EventQueueFarFuture);
+BENCHMARK(BM_BinTraceDecode);
+BENCHMARK(BM_TraceSourceSkip)->Arg(0)->Arg(1);
 
 } // namespace
 

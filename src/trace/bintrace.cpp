@@ -1,5 +1,6 @@
 #include "trace/bintrace.hpp"
 
+#include <bit>
 #include <cstring>
 
 #include "common/log.hpp"
@@ -20,6 +21,13 @@ constexpr std::size_t kChunkBytes = 64 * 1024;
 constexpr unsigned char kCtrlWriteback = 0x01;
 constexpr unsigned char kCtrlClassFollows = 0x02;
 constexpr unsigned char kCtrlReservedMask = 0xFC;
+
+/** Varints longer than this overflow 64 bits and are fatal. */
+constexpr std::size_t kMaxVarintBytes = 10;
+
+/** Longest record the decoder can meet before a fatal: control byte,
+ *  line varint, class varint. */
+constexpr std::size_t kMaxRecordBytes = 1 + 2 * kMaxVarintBytes;
 
 void
 putVarint(std::vector<unsigned char> &out, std::uint64_t value)
@@ -184,8 +192,10 @@ BinTraceReader::open()
     if (file_ == nullptr)
         fatal("cannot open trace '%s'", path_.c_str());
 #endif
+    buf_origin_ = 0;
     buf_pos_ = 0;
     buf_len_ = 0;
+    eof_ = false;
     records_ = 0;
     prev_line_ = 0;
     cls_ = 0;
@@ -207,53 +217,71 @@ BinTraceReader::closeFile()
     }
 }
 
-bool
-BinTraceReader::fill()
+void
+BinTraceReader::refill()
 {
+    // Move the unread tail to the front, then top the buffer up: a
+    // record is always whole in the buffer unless the file ends.
+    const std::size_t tail = buf_len_ - buf_pos_;
+    std::memmove(buffer_.data(), buffer_.data() + buf_pos_, tail);
+    buf_origin_ += buf_pos_;
     buf_pos_ = 0;
+    buf_len_ = tail;
+    while (!eof_ && buf_len_ < kMaxRecordBytes) {
+        unsigned char *const dst = buffer_.data() + buf_len_;
+        const std::size_t room = buffer_.size() - buf_len_;
 #ifdef ACCORD_HAVE_ZLIB
-    const int n = gzread(static_cast<gzFile>(gz_), buffer_.data(),
-                         static_cast<unsigned>(buffer_.size()));
-    if (n < 0)
-        fatal("read error on trace '%s'", path_.c_str());
-    buf_len_ = static_cast<std::size_t>(n);
+        const int n = gzread(static_cast<gzFile>(gz_), dst,
+                             static_cast<unsigned>(room));
+        if (n < 0)
+            fatal("read error on trace '%s'", path_.c_str());
+        const std::size_t got = static_cast<std::size_t>(n);
 #else
-    buf_len_ = std::fread(buffer_.data(), 1, buffer_.size(), file_);
+        const std::size_t got = std::fread(dst, 1, room, file_);
 #endif
-    return buf_len_ > 0;
-}
-
-bool
-BinTraceReader::tryByte(unsigned char &out)
-{
-    if (buf_pos_ >= buf_len_ && !fill())
-        return false;
-    out = buffer_[buf_pos_++];
-    return true;
-}
-
-unsigned char
-BinTraceReader::needByte(const char *what)
-{
-    unsigned char byte;
-    if (!tryByte(byte))
-        fatal("truncated trace '%s' (eof inside %s)", path_.c_str(),
-              what);
-    return byte;
+        eof_ = got == 0;
+        buf_len_ += got;
+    }
 }
 
 std::uint64_t
-BinTraceReader::readVarint(const char *what)
+BinTraceReader::readVarint(const unsigned char *&p,
+                           const unsigned char *end,
+                           const char *what) const
 {
+    // Fast path: a varint that ends within the next 8 bytes, decoded
+    // from one little-endian word without a branch per byte.
+    if constexpr (std::endian::native == std::endian::little) {
+        if (end - p >= 8) {
+            std::uint64_t word;
+            std::memcpy(&word, p, sizeof(word));
+            const std::uint64_t stops = ~word & 0x8080808080808080ULL;
+            if (stops != 0) {
+                const int bits = std::countr_zero(stops) + 1;
+                p += bits / 8;
+                if (bits < 64)
+                    word &= (std::uint64_t(1) << bits) - 1;
+                // Squeeze out the continuation bits: 7-bit groups to
+                // 14-, 28-, then 56-bit runs.
+                word = (word & 0x7F007F007F007F00ULL) >> 1
+                    | (word & 0x007F007F007F007FULL);
+                word = (word & 0x3FFF00003FFF0000ULL) >> 2
+                    | (word & 0x00003FFF00003FFFULL);
+                return (word & 0x0FFFFFFF00000000ULL) >> 4
+                    | (word & 0x000000000FFFFFFFULL);
+            }
+        }
+    }
     std::uint64_t value = 0;
-    unsigned shift = 0;
-    for (;;) {
-        const unsigned char byte = needByte(what);
+    for (unsigned shift = 0;; shift += 7) {
+        if (p == end)
+            fatal("truncated trace '%s' (eof inside %s)", path_.c_str(),
+                  what);
+        const unsigned char byte = *p++;
         value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
         if ((byte & 0x80) == 0)
             return value;
-        shift += 7;
-        if (shift >= 64)
+        if (shift + 7 >= 64)
             fatal("corrupt trace '%s' (varint overflow in %s)",
                   path_.c_str(), what);
     }
@@ -262,12 +290,11 @@ BinTraceReader::readVarint(const char *what)
 void
 BinTraceReader::readHeader()
 {
-    unsigned char header[kBinTraceHeaderBytes];
-    for (std::size_t i = 0; i < sizeof(header); ++i) {
-        if (!tryByte(header[i]))
-            fatal("not an ACCORD binary trace: '%s' (short header)",
-                  path_.c_str());
-    }
+    refill();
+    if (buf_len_ < kBinTraceHeaderBytes)
+        fatal("not an ACCORD binary trace: '%s' (short header)",
+              path_.c_str());
+    const unsigned char *header = buffer_.data();
     if (std::memcmp(header, kBinTraceMagic, sizeof(kBinTraceMagic))
         != 0)
         fatal("not an ACCORD binary trace: '%s' (bad magic)",
@@ -279,41 +306,91 @@ BinTraceReader::readHeader()
     for (int i = 0; i < 8; ++i)
         declared_ |= static_cast<std::uint64_t>(header[9 + i])
             << (8 * i);
+    buf_pos_ = kBinTraceHeaderBytes;
 }
 
-bool
-BinTraceReader::next(Request &out)
+int
+BinTraceReader::decodeRecord()
 {
-    unsigned char control;
-    if (!tryByte(control)) {
+    if (buf_len_ - buf_pos_ < kMaxRecordBytes && !eof_)
+        refill();
+    if (buf_pos_ == buf_len_) {
         if (declared_ > 0 && records_ != declared_)
             fatal("truncated trace '%s' (%llu of %llu records)",
                   path_.c_str(),
                   static_cast<unsigned long long>(records_),
                   static_cast<unsigned long long>(declared_));
-        return false;
+        return -1;
     }
+    const unsigned char *p = buffer_.data() + buf_pos_;
+    const unsigned char *const end = buffer_.data() + buf_len_;
+    const unsigned char control = *p++;
     if (control & kCtrlReservedMask)
         fatal("corrupt trace '%s' (reserved control bits set)",
               path_.c_str());
-    const std::int64_t delta =
-        zigzagDecode(readVarint("line delta"));
-    prev_line_ += static_cast<std::uint64_t>(delta);
+    prev_line_ += static_cast<std::uint64_t>(
+        zigzagDecode(readVarint(p, end, "line delta")));
     if (control & kCtrlClassFollows) {
-        const std::uint64_t cls = readVarint("request class");
+        const std::uint64_t cls = readVarint(p, end, "request class");
         if (cls > 0xFFFF)
             fatal("corrupt trace '%s' (request class %llu > 16 bit)",
                   path_.c_str(),
                   static_cast<unsigned long long>(cls));
         cls_ = static_cast<std::uint16_t>(cls);
     }
+    buf_pos_ = static_cast<std::size_t>(p - buffer_.data());
+    ++records_;
+    return control;
+}
+
+bool
+BinTraceReader::next(Request &out)
+{
+    const int control = decodeRecord();
+    if (control < 0)
+        return false;
     out.line = prev_line_;
     out.kind = (control & kCtrlWriteback) ? core::RequestKind::Writeback
                                           : core::RequestKind::Demand;
     out.cls = cls_;
     out.warmup = false;
-    out.position = records_++;
+    out.position = records_ - 1;
     return true;
+}
+
+std::uint64_t
+BinTraceReader::skip(std::uint64_t n)
+{
+    std::uint64_t done = 0;
+    while (done < n && decodeRecord() >= 0)
+        ++done;
+    return done;
+}
+
+void
+BinTraceReader::seek(const Mark &at)
+{
+    if (at.offset >= buf_origin_ && at.offset <= buf_origin_ + buf_len_) {
+        buf_pos_ = static_cast<std::size_t>(at.offset - buf_origin_);
+    } else {
+#ifdef ACCORD_HAVE_ZLIB
+        const auto offset = static_cast<z_off_t>(at.offset);
+        const bool ok =
+            gzseek(static_cast<gzFile>(gz_), offset, SEEK_SET) == offset;
+#else
+        const bool ok = std::fseek(file_, static_cast<long>(at.offset),
+                                   SEEK_SET) == 0;
+#endif
+        if (!ok)
+            fatal("seek error on trace '%s'", path_.c_str());
+        buf_origin_ = at.offset;
+        buf_pos_ = 0;
+        buf_len_ = 0;
+        eof_ = false;
+    }
+    prev_line_ = at.prevLine;
+    cls_ = at.cls;
+    records_ = at.records;
 }
 
 void
@@ -330,33 +407,55 @@ TraceSource::TraceSource(const std::string &path, bool loop,
 {
     ACCORD_ASSERT(stripe_count_ >= 1 && stripe_index_ < stripe_count_,
                   "bad trace stripe");
+    marks_.reserve(stripeRecords() / kTraceSeekStride + 1);
     advance();
+}
+
+bool
+TraceSource::seekKept(std::uint64_t kept)
+{
+    const std::uint64_t target = rawPosition(kept);
+    ACCORD_ASSERT(target >= reader_.recordsRead(),
+                  "trace source moved backwards");
+    // Resume at the last mark at or before the target if it lies
+    // ahead of the reader.
+    if (!marks_.empty()) {
+        const BinTraceReader::Mark &best =
+            marks_[std::min<std::uint64_t>(kept / kTraceSeekStride,
+                                           marks_.size() - 1)];
+        if (best.records > reader_.recordsRead())
+            reader_.seek(best);
+    }
+    // Decode the rest, extending the index at each stride boundary.
+    for (;;) {
+        const std::uint64_t boundary =
+            rawPosition(marks_.size() * kTraceSeekStride);
+        const bool marking = boundary <= target;
+        const std::uint64_t stop = marking ? boundary : target;
+        const std::uint64_t gap = stop - reader_.recordsRead();
+        if (reader_.skip(gap) != gap)
+            return false;
+        if (!marking)
+            return true;
+        marks_.push_back(reader_.mark());
+    }
 }
 
 void
 TraceSource::advance()
 {
-    has_pending_ = false;
     for (;;) {
-        Request req;
-        if (!reader_.next(req)) {
-            if (reader_.recordsRead() == 0)
-                fatal("trace has no records");
-            if (!loop_)
-                return;
-            reader_.rewind();
-            global_pos_ = 0;
-            continue;
-        }
-        const bool keep =
-            global_pos_ % stripe_count_ == stripe_index_;
-        ++global_pos_;
-        if (keep) {
-            pending_ = req;
+        has_pending_ = seekKept(kept_) && reader_.next(pending_);
+        if (has_pending_) {
             pending_.position = emitted_;
-            has_pending_ = true;
             return;
         }
+        if (reader_.recordsRead() == 0)
+            fatal("trace has no records");
+        if (!loop_)
+            return;
+        reader_.rewind();
+        kept_ = 0;
     }
 }
 
@@ -366,29 +465,45 @@ TraceSource::next()
     ACCORD_ASSERT(has_pending_, "next() on an exhausted trace source");
     const Request out = pending_;
     ++emitted_;
+    ++kept_;
     advance();
     return out;
 }
 
-std::uint64_t
-TraceSource::size() const
+void
+TraceSource::skip(std::uint64_t n)
 {
-    if (loop_)
-        return 0;
+    if (loop_ || n == 0) {
+        TrafficSource::skip(n);
+        return;
+    }
+    ACCORD_ASSERT(has_pending_, "skip() on an exhausted trace source");
+    emitted_ += n;
+    kept_ += n;
+    advance();
+}
+
+std::uint64_t
+TraceSource::stripeRecords() const
+{
     const std::uint64_t declared = reader_.declaredCount();
-    if (declared == 0)
-        return 0;
     if (declared <= stripe_index_)
         return 0;
     return (declared - stripe_index_ + stripe_count_ - 1)
         / stripe_count_;
 }
 
+std::uint64_t
+TraceSource::size() const
+{
+    return loop_ ? 0 : stripeRecords();
+}
+
 bool
 TraceSource::rewind()
 {
     reader_.rewind();
-    global_pos_ = 0;
+    kept_ = 0;
     emitted_ = 0;
     advance();
     return true;

@@ -101,11 +101,25 @@ class BinTraceWriter
 
 /**
  * Streaming accord.trace/1 reader with bounded memory (64 KB chunks).
- * fatal() on a missing file, bad magic, or mid-record truncation.
+ * fatal() on a missing file, bad magic, reserved control bits, varint
+ * overflow, an over-wide class, mid-record truncation, or a record
+ * count short of the header's.
  */
 class BinTraceReader
 {
   public:
+    /**
+     * The decoder state just before one record: enough to resume
+     * decoding there without reading what precedes it.
+     */
+    struct Mark
+    {
+        std::uint64_t offset = 0;   ///< byte offset in the decoded stream
+        LineAddr prevLine = 0;      ///< line the next delta applies to
+        std::uint16_t cls = 0;      ///< class in force
+        std::uint64_t records = 0;  ///< records before this point
+    };
+
     explicit BinTraceReader(const std::string &path);
     ~BinTraceReader();
 
@@ -118,10 +132,29 @@ class BinTraceReader
      */
     bool next(Request &out);
 
+    /**
+     * Decode and drop up to `n` records with the same checks as next();
+     * returns how many there were (fewer only at end-of-trace).
+     */
+    std::uint64_t skip(std::uint64_t n);
+
     /** Header record count (0 = unknown, e.g. gzip-streamed write). */
     std::uint64_t declaredCount() const { return declared_; }
 
     std::uint64_t recordsRead() const { return records_; }
+
+    /** The decoder state before the next record. */
+    Mark
+    mark() const
+    {
+        return {buf_origin_ + buf_pos_, prev_line_, cls_, records_};
+    }
+
+    /**
+     * Resume at a mark() taken on this file.  Plain files seek
+     * directly; gzip input seeks by decompressing (correct, not fast).
+     */
+    void seek(const Mark &at);
 
     /** Reopen at the first record. */
     void rewind();
@@ -130,22 +163,28 @@ class BinTraceReader
     void open();
     void closeFile();
     void readHeader();
-    bool fill();
-    bool tryByte(unsigned char &out);
-    unsigned char needByte(const char *what);
-    std::uint64_t readVarint(const char *what);
+    void refill();
+    int decodeRecord();
+    std::uint64_t readVarint(const unsigned char *&p,
+                             const unsigned char *end,
+                             const char *what) const;
 
     std::string path_;
     std::FILE *file_ = nullptr;
     void *gz_ = nullptr;  ///< gzFile handle when zlib is available
     std::vector<unsigned char> buffer_;
+    std::uint64_t buf_origin_ = 0;  ///< stream offset of buffer_[0]
     std::size_t buf_pos_ = 0;
     std::size_t buf_len_ = 0;
+    bool eof_ = false;  ///< the file has no bytes past the buffer
     std::uint64_t declared_ = 0;
     std::uint64_t records_ = 0;
     LineAddr prev_line_ = 0;
     std::uint16_t cls_ = 0;
 };
+
+/** Kept records between two TraceSource seek-index marks. */
+inline constexpr std::uint64_t kTraceSeekStride = 4096;
 
 /**
  * Replays an accord.trace/1 file as a TrafficSource.
@@ -154,6 +193,13 @@ class BinTraceReader
  * (offset stripe_index), so N cores can share one trace file without
  * replaying identical streams.  loop=true restarts at end-of-trace
  * (the source becomes unbounded); loop=false exhausts.
+ *
+ * While it decodes, the source records a sparse seek index: one
+ * reader mark every kTraceSeekStride kept records.  skip() resumes at
+ * the last mark at or before its target and decodes only the rest, so
+ * a replay that passes over most of the trace pays for the records it
+ * keeps.  Marks exist only where this source has already decoded, so
+ * every record a seek passes over has passed the decoder's checks.
  */
 class TraceSource final : public TrafficSource
 {
@@ -162,6 +208,10 @@ class TraceSource final : public TrafficSource
                 unsigned stripe_count, unsigned stripe_index);
 
     Request next() override;
+
+    /** Looped sources take the default path (stripes restart per pass). */
+    void skip(std::uint64_t n) override;
+
     bool exhausted() const override { return !has_pending_; }
     bool bounded() const override { return !loop_; }
     std::uint64_t size() const override;
@@ -171,17 +221,32 @@ class TraceSource final : public TrafficSource
     /** Records in the underlying file (header count; 0 = unknown). */
     std::uint64_t fileRecords() const { return reader_.declaredCount(); }
 
+    /** Seek-index marks recorded so far. */
+    std::size_t seekMarks() const { return marks_.size(); }
+
   private:
+    /** File position of this stripe's kept record `kept`. */
+    std::uint64_t
+    rawPosition(std::uint64_t kept) const
+    {
+        return kept * stripe_count_ + stripe_index_;
+    }
+
+    /** This stripe's share of the header count (0 = unknown). */
+    std::uint64_t stripeRecords() const;
+
+    bool seekKept(std::uint64_t kept);
     void advance();
 
     BinTraceReader reader_;
     bool loop_;
     unsigned stripe_count_;
     unsigned stripe_index_;
-    std::uint64_t global_pos_ = 0;
-    std::uint64_t emitted_ = 0;
+    std::uint64_t kept_ = 0;     ///< this pass's index of pending_
+    std::uint64_t emitted_ = 0;  ///< pending_'s stream position
     Request pending_;
     bool has_pending_ = false;
+    std::vector<BinTraceReader::Mark> marks_;
 };
 
 } // namespace accord::trace

@@ -129,16 +129,21 @@ SampledSource::profile()
     const unsigned dims = params_.dims;
     std::vector<float> signatures;
     std::vector<std::uint32_t> counts;
+    // Windows are counted down, not divided out: this pass decodes
+    // the whole trace.
+    std::uint64_t window_left = 0;
+    float *window = nullptr;
     while (!inner_->exhausted()) {
         const Request req = inner_->next();
-        const std::uint64_t w = inner_records_ / params_.window;
-        if (w >= counts.size()) {
-            counts.resize(w + 1, 0);
-            signatures.resize((w + 1) * dims, 0.0F);
+        if (window_left == 0) {
+            counts.push_back(0);
+            signatures.resize(counts.size() * dims, 0.0F);
+            window = &signatures[(counts.size() - 1) * dims];
+            window_left = params_.window;
         }
-        const std::uint64_t bucket = mix64(regionOf(req.line)) % dims;
-        signatures[w * dims + bucket] += 1.0F;
-        ++counts[w];
+        --window_left;
+        window[mix64(regionOf(req.line)) % dims] += 1.0F;
+        ++counts.back();
         ++inner_records_;
     }
     if (inner_records_ == 0)
@@ -340,16 +345,21 @@ SampledSource::next()
     ACCORD_ASSERT(!exhausted(),
                   "next() on an exhausted sampled source");
     const Segment &seg = segments_[seg_idx_];
-    while (inner_pos_ < seg.from) {
-        inner_->next();
-        ++inner_pos_;
+    if (inner_pos_ < seg.from) {
+        inner_->skip(seg.from - inner_pos_);
+        inner_pos_ = seg.from;
     }
     Request req = inner_->next();
-    const std::uint64_t w = inner_pos_ / params_.window;
-    while (sel_idx_ < selected_.size() && selected_[sel_idx_] < w)
-        ++sel_idx_;
-    req.warmup = !(sel_idx_ < selected_.size()
-                   && selected_[sel_idx_] == w);
+    if (inner_pos_ >= window_end_) {
+        // First record replayed from a new window: look it up once.
+        const std::uint64_t w = inner_pos_ / params_.window;
+        window_end_ = (w + 1) * params_.window;
+        while (sel_idx_ < selected_.size() && selected_[sel_idx_] < w)
+            ++sel_idx_;
+        window_selected_ =
+            sel_idx_ < selected_.size() && selected_[sel_idx_] == w;
+    }
+    req.warmup = !window_selected_;
     req.position = emitted_++;
     ++inner_pos_;
     if (inner_pos_ >= seg.to)
@@ -371,6 +381,7 @@ SampledSource::rewind()
     seg_idx_ = 0;
     sel_idx_ = 0;
     inner_pos_ = 0;
+    window_end_ = 0;
     emitted_ = 0;
     return true;
 }

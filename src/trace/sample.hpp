@@ -30,7 +30,8 @@
  * and a *stratified proportional* selection picks round(rate * W)
  * windows, spread evenly inside each cluster so aggregate statistics
  * honor phase weights without per-window weighting machinery.  Pass 2
- * re-streams the trace, emitting only the selected windows, each
+ * re-streams the trace, passing over the gaps with
+ * TrafficSource::skip() and emitting only the selected windows, each
  * preceded by `warmup` accesses flagged Request::warmup so the cache
  * warms up but the statistics stay clean (the functional shell
  * excludes them; see DramCacheController stats exclusion).
@@ -165,6 +166,8 @@ class SampledSource final : public TrafficSource
     std::size_t seg_idx_ = 0;
     std::size_t sel_idx_ = 0;
     std::uint64_t inner_pos_ = 0;
+    std::uint64_t window_end_ = 0;  ///< one past inner_pos_'s window
+    bool window_selected_ = false;  ///< inner_pos_'s window is measured
     std::uint64_t emitted_ = 0;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <mutex>
 #include <optional>
 
 #include "common/bits.hpp"
@@ -275,14 +276,14 @@ trafficSourceRegistry()
 void
 registerBuiltinTrafficSources()
 {
-    static bool done = false;
-    if (done)
-        return;
-    done = true;
-    auto &registry = trafficSourceRegistry();
-    registerSynthetic(registry);
-    registerCyclic(registry);
-    registerTrace(registry);
+    // call_once: concurrent sweep workers wait for the adds to finish.
+    static std::once_flag once;
+    std::call_once(once, [] {
+        auto &registry = trafficSourceRegistry();
+        registerSynthetic(registry);
+        registerCyclic(registry);
+        registerTrace(registry);
+    });
 }
 
 std::unique_ptr<TrafficSource>

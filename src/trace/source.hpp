@@ -79,6 +79,18 @@ class TrafficSource
     /** Next request; precondition: !exhausted(). */
     virtual Request next() = 0;
 
+    /**
+     * Discard the next `n` requests, exactly as `n` calls to next()
+     * would; precondition: at least `n` remain.  Sources that can pass
+     * over records more cheaply than by building them override this.
+     */
+    virtual void
+    skip(std::uint64_t n)
+    {
+        for (; n > 0; --n)
+            next();
+    }
+
     /** True once a bounded source has emitted its final record. */
     virtual bool exhausted() const { return false; }
 

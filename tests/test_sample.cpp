@@ -8,12 +8,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "sim/runner.hpp"
 #include "sim/system.hpp"
+#include "trace/bintrace.hpp"
 #include "trace/sample.hpp"
 #include "trace/source.hpp"
 #include "trace/workloads.hpp"
@@ -46,6 +48,40 @@ params(const std::string &spec)
 {
     return SampleParams::fromString(spec);
 }
+
+/** Write `records` of the bounded libq stream as accord.trace/1. */
+std::string
+writeLibqTrace(const char *name, std::uint64_t records, bool gzip = false)
+{
+    const std::string path = std::string(::testing::TempDir())
+        + "accord_sample_" + name + ".trc";
+    auto src = boundedLibq(records);
+    BinTraceWriter writer(path, gzip);
+    while (!src->exhausted())
+        writer.append(src->next());
+    writer.close();
+    return path;
+}
+
+/** Forwards everything but skip(), so skips take the next() loop. */
+class NextOnlySource final : public TrafficSource
+{
+  public:
+    explicit NextOnlySource(std::unique_ptr<TrafficSource> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    Request next() override { return inner_->next(); }
+    bool exhausted() const override { return inner_->exhausted(); }
+    bool bounded() const override { return inner_->bounded(); }
+    std::uint64_t size() const override { return inner_->size(); }
+    bool rewind() override { return inner_->rewind(); }
+    std::string describe() const override { return inner_->describe(); }
+
+  private:
+    std::unique_ptr<TrafficSource> inner_;
+};
 
 } // namespace
 
@@ -185,6 +221,97 @@ TEST(SampledSource, RewindReplaysTheSamePlan)
     }
     EXPECT_EQ(first, second);
     EXPECT_EQ(first_warm, second_warm);
+}
+
+TEST(SampledSource, SkippingTraceMatchesNextOnlyInner)
+{
+    // The sampler passes over the gaps between segments with skip();
+    // a trace source's seeking skip must replay exactly what the
+    // next()-loop default replays.
+    const auto spec = "window=512,clusters=6,rate=0.03,warmup=100,"
+                      "prewarm=3000";
+    for (const bool gzip : {false, true}) {
+        if (gzip && !binTraceGzipAvailable())
+            continue;
+        const std::string path =
+            writeLibqTrace(gzip ? "skip_gz" : "skip", 120'000, gzip);
+        for (const unsigned stripes : {1u, 3u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << (gzip ? "gzip" : "plain") << " stripes "
+                         << stripes);
+            const unsigned index = 1 % stripes;
+            SampledSource fast(
+                std::make_unique<TraceSource>(path, false, stripes, index),
+                params(spec));
+            SampledSource slow(
+                std::make_unique<NextOnlySource>(
+                    std::make_unique<TraceSource>(path, false, stripes,
+                                                  index)),
+                params(spec));
+            ASSERT_EQ(fast.selectedWindows(), slow.selectedWindows());
+            ASSERT_EQ(fast.size(), slow.size());
+            for (int pass = 0; pass < 2; ++pass) {
+                while (!fast.exhausted()) {
+                    ASSERT_FALSE(slow.exhausted());
+                    const Request a = fast.next();
+                    const Request b = slow.next();
+                    ASSERT_EQ(a.line, b.line) << "position " << a.position;
+                    ASSERT_EQ(a.kind, b.kind);
+                    ASSERT_EQ(a.cls, b.cls);
+                    ASSERT_EQ(a.warmup, b.warmup);
+                    ASSERT_EQ(a.position, b.position);
+                }
+                EXPECT_TRUE(slow.exhausted());
+                ASSERT_TRUE(fast.rewind());
+                ASSERT_TRUE(slow.rewind());
+            }
+        }
+        std::remove(path.c_str());
+    }
+}
+
+TEST(SampledSourceDeath, CorruptRecordInASkippedGapFatalsWhileProfiling)
+{
+    // Replay seeks over the gaps between segments, so a corrupt record
+    // there must be caught by the profiling pass, which decodes all.
+    const auto spec = "window=512,clusters=4,rate=0.02,warmup=64";
+    const std::string path = writeLibqTrace("corrupt", 60'000);
+    std::uint64_t victim = 0;
+    {
+        SampledSource clean(
+            std::make_unique<TraceSource>(path, false, 1, 0),
+            params(spec));
+        // The first record no segment replays: outside every selected
+        // window and its warmup prefix.
+        const auto &sel = clean.selectedWindows();
+        for (victim = 1000;; ++victim) {
+            bool replayed = false;
+            for (const std::uint64_t w : sel)
+                replayed = replayed
+                    || (victim + 64 >= w * 512 && victim < (w + 1) * 512);
+            if (!replayed)
+                break;
+        }
+    }
+    std::uint64_t offset = 0;
+    {
+        BinTraceReader reader(path);
+        ASSERT_EQ(reader.skip(victim), victim);
+        offset = reader.mark().offset;
+    }
+    {
+        std::FILE *file = std::fopen(path.c_str(), "r+b");
+        ASSERT_NE(file, nullptr);
+        ASSERT_EQ(std::fseek(file, static_cast<long>(offset), SEEK_SET),
+                  0);
+        std::fputc(0x80, file);  // reserved control bit
+        std::fclose(file);
+    }
+    EXPECT_EXIT(SampledSource(std::make_unique<TraceSource>(path, false,
+                                                            1, 0),
+                              params(spec)),
+                ::testing::ExitedWithCode(1), "reserved control bits");
+    std::remove(path.c_str());
 }
 
 TEST(SampledSourceDeath, NeedsABoundedSource)

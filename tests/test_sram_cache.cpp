@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cache/sram_cache.hpp"
 
 using namespace accord;
@@ -140,6 +142,13 @@ struct Geometry
     unsigned ways;
     std::uint64_t capacity;
 };
+
+/** Test names print the fields, not the struct's padding bytes. */
+void
+PrintTo(const Geometry &g, std::ostream *os)
+{
+    *os << "ways=" << g.ways << ",capacity=" << g.capacity;
+}
 
 class SramGeometry : public ::testing::TestWithParam<Geometry>
 {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -84,6 +85,73 @@ writeRecords(const std::string &path, const std::vector<Request> &recs,
     for (const Request &req : recs)
         writer.append(req);
     writer.close();
+}
+
+/**
+ * A stream spanning several 64 KB read chunks: every fifth record
+ * jumps far, with a delta varint of 8 bytes (the longest the one-word
+ * decoder takes), 9 bytes, or 10 bytes (the longest the format
+ * allows); class changes up to 65535 and writebacks are mixed in.
+ */
+std::vector<Request>
+chunkEdgeRecords(std::size_t count)
+{
+    const LineAddr jumps[] = {(LineAddr(1) << 55) - 1, LineAddr(1) << 55,
+                              LineAddr(1) << 63};
+    std::vector<Request> recs(count);
+    LineAddr line = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        line += i % 5 == 0 ? jumps[(i / 5) % 3] : (i * 2654435761u) % 977;
+        recs[i].line = line;
+        recs[i].kind = i % 3 == 0 ? core::RequestKind::Writeback
+                                  : core::RequestKind::Demand;
+        recs[i].cls = static_cast<std::uint16_t>((i / 37) * 4099);
+    }
+    return recs;
+}
+
+/** Skip counts to alternate with next(): around the index stride too. */
+constexpr std::uint64_t kSkipPattern[] = {0,    1,    2,    3,    5,
+                                          100,  4095, 4096, 4097, 7,
+                                          9000, 0,    1,    12345};
+
+/**
+ * Drive `src` with kSkipPattern skips, each followed by one next(),
+ * and check every emitted record against `want`, the stripe's full
+ * stream: skip(n) then next() must equal n+1 calls to next().
+ */
+void
+expectSkipsMatch(TraceSource &src, const std::vector<Request> &want)
+{
+    std::uint64_t pos = 0;
+    for (std::size_t round = 0;; ++round) {
+        const std::uint64_t n =
+            kSkipPattern[round % std::size(kSkipPattern)];
+        if (pos + n >= want.size())
+            break;
+        src.skip(n);
+        pos += n;
+        ASSERT_FALSE(src.exhausted()) << "position " << pos;
+        const Request got = src.next();
+        ASSERT_EQ(got.line, want[pos].line) << "position " << pos;
+        ASSERT_EQ(got.kind, want[pos].kind) << "position " << pos;
+        ASSERT_EQ(got.cls, want[pos].cls) << "position " << pos;
+        ASSERT_EQ(got.position, pos);
+        ++pos;
+    }
+    // Skipping exactly the rest exhausts a bounded source.
+    src.skip(want.size() - pos);
+    EXPECT_TRUE(src.exhausted());
+}
+
+/** Every record `src` emits, by next() alone. */
+std::vector<Request>
+drain(TrafficSource &src)
+{
+    std::vector<Request> out;
+    while (!src.exhausted())
+        out.push_back(src.next());
+    return out;
 }
 
 } // namespace
@@ -251,6 +319,167 @@ TEST(TraceSource, LoopRestartsAndIsUnbounded)
         }
     }
     std::remove(path.c_str());
+}
+
+TEST(BinTrace, ChunkEdgeAndMaxVarintRecordsRoundTrip)
+{
+    // The mixed stream, and one where every record has the longest
+    // valid shape (10-byte delta, 3-byte class: 14 bytes), so each
+    // read-buffer refill lands inside a record.
+    std::vector<Request> longest(20'000);
+    for (std::size_t i = 0; i < longest.size(); ++i) {
+        longest[i].line = (i % 2) * (LineAddr(1) << 63);
+        longest[i].cls = static_cast<std::uint16_t>(65534 + i % 2);
+    }
+    const auto path = tracePath("chunkedge");
+    for (const auto &recs : {chunkEdgeRecords(60'000), longest}) {
+        writeRecords(path, recs);
+        BinTraceReader reader(path);
+        constexpr std::uint64_t kChunk = 64 * 1024;
+        bool straddles = false;
+        bool max_varint = false;
+        Request req;
+        for (std::size_t i = 0; i < recs.size(); ++i) {
+            const std::uint64_t from = reader.mark().offset;
+            ASSERT_TRUE(reader.next(req)) << "record " << i;
+            const std::uint64_t to = reader.mark().offset;
+            straddles = straddles || from / kChunk != (to - 1) / kChunk;
+            max_varint = max_varint || to - from >= 1 + 10;
+            ASSERT_EQ(req.line, recs[i].line) << "record " << i;
+            ASSERT_EQ(req.kind, recs[i].kind) << "record " << i;
+            ASSERT_EQ(req.cls, recs[i].cls) << "record " << i;
+        }
+        EXPECT_FALSE(reader.next(req));
+        EXPECT_TRUE(straddles) << "no record crosses a 64 KB chunk edge";
+        EXPECT_TRUE(max_varint) << "no record holds a 10-byte varint";
+    }
+    std::remove(path.c_str());
+}
+
+TEST(TraceSource, SkipThenNextEqualsRepeatedNext)
+{
+    const auto recs = chunkEdgeRecords(60'000);
+    for (const bool gzip : {false, true}) {
+        if (gzip && !binTraceGzipAvailable())
+            continue;
+        const auto path = tracePath(gzip ? "skip_gz" : "skip");
+        writeRecords(path, recs, gzip);
+        for (unsigned stripes = 1; stripes <= 4; ++stripes) {
+            for (const unsigned index : {0u, stripes - 1}) {
+                SCOPED_TRACE(::testing::Message()
+                             << (gzip ? "gzip" : "plain") << " stripe "
+                             << index << "/" << stripes);
+                TraceSource full(path, false, stripes, index);
+                const auto want = drain(full);
+                // A fresh source has no index ahead of it: each skip
+                // decodes the records it passes over.
+                TraceSource fresh(path, false, stripes, index);
+                expectSkipsMatch(fresh, want);
+            }
+        }
+        std::remove(path.c_str());
+    }
+}
+
+TEST(TraceSource, IndexedSkipEqualsDecodeOnlySkip)
+{
+    const auto recs = chunkEdgeRecords(60'000);
+    for (const bool gzip : {false, true}) {
+        if (gzip && !binTraceGzipAvailable())
+            continue;
+        const auto path = tracePath(gzip ? "index_gz" : "index");
+        writeRecords(path, recs, gzip);
+        for (const unsigned stripes : {1u, 3u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << (gzip ? "gzip" : "plain") << " stripes "
+                         << stripes);
+            TraceSource indexed(path, false, stripes, stripes - 1);
+            const auto want = drain(indexed);
+            // The first pass left one mark per stride of kept records.
+            EXPECT_EQ(indexed.seekMarks(),
+                      (want.size() + kTraceSeekStride - 1)
+                          / kTraceSeekStride);
+            ASSERT_TRUE(indexed.rewind());
+            expectSkipsMatch(indexed, want);
+
+            TraceSource decode_only(path, false, stripes, stripes - 1);
+            expectSkipsMatch(decode_only, want);
+            EXPECT_EQ(decode_only.seekMarks(), indexed.seekMarks());
+        }
+        std::remove(path.c_str());
+    }
+}
+
+TEST(TraceSourceDeath, IndexedSkipJumpsRecordsDecodeOnlySkipReads)
+{
+    // Proof that an indexed skip seeks rather than decodes: after the
+    // first pass, a record inside the jumped range is corrupted in
+    // place.  The indexed source passes over it; a fresh source, which
+    // must decode its way there, hits the corruption.
+    const auto path = tracePath("jump");
+    const auto recs = chunkEdgeRecords(20'000);
+    writeRecords(path, recs);
+    TraceSource indexed(path, false, 1, 0);
+    const auto want = drain(indexed);
+
+    std::uint64_t offset = 0;
+    {
+        BinTraceReader reader(path);
+        EXPECT_EQ(reader.skip(5000), 5000u);
+        offset = reader.mark().offset;
+    }
+    {
+        std::FILE *file = std::fopen(path.c_str(), "r+b");
+        ASSERT_NE(file, nullptr);
+        ASSERT_EQ(std::fseek(file, static_cast<long>(offset), SEEK_SET),
+                  0);
+        std::fputc(0x80, file);  // reserved control bit
+        std::fclose(file);
+    }
+
+    ASSERT_TRUE(indexed.rewind());
+    indexed.skip(9000);
+    EXPECT_EQ(indexed.next().line, want[9000].line);
+    EXPECT_EXIT(
+        {
+            TraceSource fresh(path, false, 1, 0);
+            fresh.skip(9000);
+        },
+        ::testing::ExitedWithCode(1), "reserved control bits");
+    std::remove(path.c_str());
+}
+
+TEST(TraceSource, LoopedSkipWrapsLikeNext)
+{
+    const auto path = tracePath("loopskip");
+    std::vector<Request> recs(10);
+    for (std::uint64_t i = 0; i < recs.size(); ++i)
+        recs[i].line = i;
+    writeRecords(path, recs);
+
+    TraceSource src(path, /* loop */ true, 1, 0);
+    src.skip(25);
+    EXPECT_EQ(src.next().line, 5u);
+    std::remove(path.c_str());
+}
+
+TEST(Registry, DefaultSkipEqualsRepeatedNext)
+{
+    // Sources without a cheaper skip() inherit the next() loop.
+    const auto want = drain(*makeTrafficSource("synthetic(limit=5000)",
+                                               libqContext()));
+    auto src = makeTrafficSource("synthetic(limit=5000)", libqContext());
+    std::uint64_t pos = 0;
+    for (const std::uint64_t n : kSkipPattern) {
+        if (pos + n >= want.size())
+            break;
+        src->skip(n);
+        pos += n;
+        const Request got = src->next();
+        ASSERT_EQ(got.line, want[pos].line) << "position " << pos;
+        ASSERT_EQ(got.kind, want[pos].kind) << "position " << pos;
+        ++pos;
+    }
 }
 
 TEST(Registry, SyntheticMatchesRawGeneratorStack)
