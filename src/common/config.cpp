@@ -39,9 +39,14 @@ parseSize(const std::string &text, bool *ok)
         if (*end != '\0')
             return 0;
     }
+    const double value = base * static_cast<double>(multiplier);
+    // Converting a negative, NaN or >= 2^64 double to uint64_t is
+    // undefined behaviour, so those values are malformed too.
+    if (!(value >= 0.0 && value < 0x1p64))
+        return 0;
     if (ok)
         *ok = true;
-    return static_cast<std::uint64_t>(base * static_cast<double>(multiplier));
+    return static_cast<std::uint64_t>(value);
 }
 
 void
@@ -87,21 +92,6 @@ Config::getString(const std::string &key, const std::string &def) const
     return it->second;
 }
 
-std::int64_t
-Config::getInt(const std::string &key, std::int64_t def) const
-{
-    const auto it = values.find(key);
-    if (it == values.end())
-        return def;
-    consumed.insert(key);
-    bool ok = false;
-    const std::uint64_t v = parseSize(it->second, &ok);
-    if (!ok)
-        fatal("config key '%s': cannot parse '%s' as integer",
-              key.c_str(), it->second.c_str());
-    return static_cast<std::int64_t>(v);
-}
-
 std::uint64_t
 Config::getUint(const std::string &key, std::uint64_t def) const
 {
@@ -112,22 +102,8 @@ Config::getUint(const std::string &key, std::uint64_t def) const
     bool ok = false;
     const std::uint64_t v = parseSize(it->second, &ok);
     if (!ok)
-        fatal("config key '%s': cannot parse '%s' as integer",
-              key.c_str(), it->second.c_str());
-    return v;
-}
-
-double
-Config::getDouble(const std::string &key, double def) const
-{
-    const auto it = values.find(key);
-    if (it == values.end())
-        return def;
-    consumed.insert(key);
-    char *end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("config key '%s': cannot parse '%s' as double",
+        fatal("config key '%s': cannot parse '%s' as an unsigned "
+              "64-bit integer",
               key.c_str(), it->second.c_str());
     return v;
 }

@@ -41,14 +41,8 @@ class Config
     std::string getString(const std::string &key,
                           const std::string &def) const;
 
-    /** Integer getter with default (accepts k/M/G suffixes). */
-    std::int64_t getInt(const std::string &key, std::int64_t def) const;
-
     /** Unsigned getter with default (accepts k/M/G suffixes). */
     std::uint64_t getUint(const std::string &key, std::uint64_t def) const;
-
-    /** Double getter with default. */
-    double getDouble(const std::string &key, double def) const;
 
     /** Boolean getter with default (true/false/1/0/yes/no). */
     bool getBool(const std::string &key, bool def) const;
@@ -61,7 +55,11 @@ class Config
     mutable std::set<std::string> consumed;
 };
 
-/** Parse a size string like "4G", "256M", "64k", or plain digits. */
+/**
+ * Parse a size string like "4G", "256M", "0.5k", or plain digits.
+ * Sets *ok to false (and returns 0) on malformed text and on values
+ * that are negative, NaN, infinite or not below 2^64.
+ */
 std::uint64_t parseSize(const std::string &text, bool *ok = nullptr);
 
 } // namespace accord

@@ -85,21 +85,6 @@ regionOf(LineAddr line)
     return line >> (regionShift - lineShift);
 }
 
-/** Kinds of accesses a cache level can receive. */
-enum class AccessType : std::uint8_t
-{
-    Read,       ///< demand read (load or ifetch miss from the level above)
-    Write,      ///< demand write (store miss; allocates like a read)
-    Writeback,  ///< dirty eviction from the level above
-};
-
-/** True for access types that carry dirty data downward. */
-constexpr bool
-isWritebackType(AccessType t)
-{
-    return t == AccessType::Writeback;
-}
-
 } // namespace accord
 
 #endif // ACCORD_COMMON_TYPES_HPP

@@ -1,5 +1,7 @@
 #include "sim/runner.hpp"
 
+#include <utility>
+
 #include "common/log.hpp"
 #include "sim/sweep.hpp"
 #include "trace/sample.hpp"
@@ -62,6 +64,18 @@ applyCliOverrides(SystemConfig &config, const Config &cli)
         cli.getString("telemetry", config.telemetryPath);
     config.telemetryInterval =
         cli.getUint("telemetry_interval", config.telemetryInterval);
+
+    // Zero would crash deep inside the run instead: scale divides the
+    // cache size, and a run without cores or outstanding misses
+    // cannot make progress.
+    const std::pair<const char *, std::uint64_t> counts[] = {
+        {"scale", config.scale},
+        {"cores", config.numCores},
+        {"mlp", config.mlp}};
+    for (const auto &[key, value] : counts) {
+        if (value == 0)
+            fatal("config key '%s': must be at least 1", key);
+    }
 }
 
 std::string
@@ -95,8 +109,9 @@ canonicalConfigSpec(const SystemConfig &config)
     spec += " timed=" + u64(config.timedPerCore);
     spec += " mlp=" + u64(config.mlp);
     spec += " wb_lag=" + u64(config.wbLag);
-    spec += std::string(" hierarchy=")
-        + (config.fullHierarchy ? "full" : "post_l3");
+    // Every stream is the post-L3 miss stream; the token stays so
+    // reports keep matching the committed baselines byte for byte.
+    spec += " hierarchy=post_l3";
     spec += " epoch=" + u64(config.epochEvery);
     spec += " seed=" + u64(config.seed);
 

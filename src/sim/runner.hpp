@@ -39,7 +39,8 @@ double weightedSpeedup(const SystemMetrics &config,
  * trace= writes a Chrome trace-event JSON of the timed phase and
  * trace_cap= bounds its ring buffer; like jobs=, tracing never
  * changes simulation results (and so stays out of the canonical
- * config spec).
+ * config spec).  A malformed or out-of-range number, or scale=,
+ * cores= or mlp= of 0, is fatal with the key named.
  */
 void applyCliOverrides(SystemConfig &config, const Config &cli);
 

@@ -4,7 +4,6 @@
 
 #include "common/bits.hpp"
 #include "common/log.hpp"
-#include "common/rng.hpp"
 #include "common/trace_event/tracer.hpp"
 #include "sim/runner.hpp"
 #include "trace/sample.hpp"
@@ -52,14 +51,6 @@ System::System(const SystemConfig &config) : config_(config)
 
     assignment =
         trace::coreAssignment(config_.workload, config_.numCores);
-    if (config_.fullHierarchy
-        && trace::parseSourceSpec(config_.trafficSpec).name
-            != "synthetic")
-        fatal("full-hierarchy mode filters CPU demand streams and "
-              "supports source=synthetic only");
-    if (!config_.sampleSpec.empty() && config_.fullHierarchy)
-        fatal("sample= cannot be combined with full-hierarchy mode "
-              "(the hierarchy holds unwarmable filter state)");
     if (!config_.sampleSpec.empty() && config_.runTimed)
         fatal("sample= supports functional runs only "
               "(set runTimed=false)");
@@ -71,9 +62,6 @@ System::System(const SystemConfig &config) : config_(config)
         ctx.scale = config_.scale;
         ctx.seed = config_.seed;
         ctx.wbLag = config_.wbLag;
-        // The hierarchy generates L4 writebacks itself, so in
-        // full-hierarchy mode the source emits pure demand traffic.
-        ctx.mixWritebacks = !config_.fullHierarchy;
         auto source =
             trace::makeTrafficSource(config_.trafficSpec, ctx);
         if (!config_.sampleSpec.empty()) {
@@ -86,15 +74,7 @@ System::System(const SystemConfig &config) : config_(config)
                 std::move(source), sample);
         }
         sources.push_back(std::move(source));
-        if (config_.fullHierarchy) {
-            hierarchies.push_back(std::make_unique<cache::Hierarchy>(
-                cache::HierarchyParams{}));
-            write_rngs.emplace_back(mix64(config_.seed * 31 + core));
-        }
     }
-    if (config_.fullHierarchy && config_.runTimed)
-        fatal("full-hierarchy mode supports functional runs only "
-              "(set runTimed=false)");
 
     // Registration happens once, here; the hot paths never touch the
     // registry.  Timed cores register later (runTimed creates them).
@@ -115,10 +95,6 @@ System::System(const SystemConfig &config) : config_(config)
         // txn.* metrics exist only on traced runs, so untraced run
         // reports keep their baseline key set.
         tracer_->registerMetrics(registry_, "txn");
-    }
-    for (std::size_t core = 0; core < hierarchies.size(); ++core) {
-        hierarchies[core]->registerMetrics(
-            registry_, "core" + std::to_string(core));
     }
 
     if (!config_.telemetryPath.empty()) {
@@ -278,38 +254,19 @@ System::telemetrySample(const char *phase, std::uint64_t position) const
 bool
 System::funcAccess(unsigned core)
 {
-    if (!config_.fullHierarchy) {
-        const trace::Request req = sources[core]->next();
-        // Warmup-replay accesses (sampled simulation) update cache
-        // state under stats exclusion so measurements stay clean.
-        if (req.warmup)
-            cache_->beginStatsExclusion();
-        if (req.kind == core::RequestKind::Writeback)
-            cache_->warmWriteback(req.line);
-        else
-            cache_->warmRead(req.line);
-        if (req.warmup)
-            cache_->endStatsExclusion();
-        ++telemetry_units_;
-        return !req.warmup;
-    }
-
-    // Full-hierarchy mode: the source's line is a CPU demand access;
-    // stores follow the benchmark's writeback fraction, and the
-    // hierarchy decides what reaches the L4.
-    const LineAddr line = sources[core]->next().line;
-    const bool is_write =
-        write_rngs[core].chance(assignment[core]->wbFrac);
-    const cache::FilterResult result =
-        hierarchies[core]->access(line, is_write);
-    for (const cache::L4Transaction &txn : result.toL4) {
-        if (txn.type == AccessType::Writeback)
-            cache_->warmWriteback(txn.line);
-        else
-            cache_->warmRead(txn.line);
-    }
+    const trace::Request req = sources[core]->next();
+    // Warmup-replay accesses (sampled simulation) update cache state
+    // under stats exclusion so measurements stay clean.
+    if (req.warmup)
+        cache_->beginStatsExclusion();
+    if (req.kind == core::RequestKind::Writeback)
+        cache_->warmWriteback(req.line);
+    else
+        cache_->warmRead(req.line);
+    if (req.warmup)
+        cache_->endStatsExclusion();
     ++telemetry_units_;
-    return true;
+    return !req.warmup;
 }
 
 void

@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/hierarchy.hpp"
 #include "common/event_queue.hpp"
 #include "common/metrics/registry.hpp"
 #include "common/telemetry/telemetry.hpp"
@@ -115,15 +114,6 @@ struct SystemConfig
      * Requires a bounded source and a functional run.
      */
     std::string sampleSpec;
-
-    /**
-     * Filter each core's stream through a real L1/L2/L3 hierarchy
-     * instead of treating it as the post-L3 miss stream (functional
-     * runs only).  Slower but exercises the full cache stack; the
-     * hierarchy generates the L4 writebacks itself, so the writeback
-     * mixer is bypassed.
-     */
-    bool fullHierarchy = false;
 
     /**
      * Snapshot the metric registry every this many demand accesses
@@ -283,9 +273,9 @@ class System
     void runTimed();
 
     /**
-     * One functional access for a core (direct or via hierarchy).
-     * Returns false when the access carried Request::warmup and was
-     * therefore excluded from measured statistics.
+     * One functional access for a core.  Returns false when the
+     * access carried Request::warmup and was therefore excluded from
+     * measured statistics.
      */
     bool funcAccess(unsigned core);
 
@@ -322,10 +312,6 @@ class System
 
     /** Measurement-phase access count (SystemMetrics::accessesExecuted). */
     std::uint64_t accesses_executed_ = 0;
-
-    // Full-hierarchy mode state (empty otherwise).
-    std::vector<std::unique_ptr<cache::Hierarchy>> hierarchies;
-    std::vector<Rng> write_rngs;
 };
 
 } // namespace accord::sim

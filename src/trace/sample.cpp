@@ -1,13 +1,13 @@
 #include "trace/sample.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 
 #include "common/bits.hpp"
+#include "common/config.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 
@@ -65,43 +65,41 @@ SampleParams::fromString(const std::string &text)
             fatal("malformed sample option '%s'", item.c_str());
         const std::string key = item.substr(0, eq);
         const std::string value = item.substr(eq + 1);
-        char *end = nullptr;
-        double num = std::strtod(value.c_str(), &end);
-        // Same k/M/G/T suffixes as the CLI and source specs.
-        if (end != value.c_str() && *end != '\0') {
-            switch (std::tolower(static_cast<unsigned char>(*end))) {
-              case 'k': num *= 1ULL << 10; ++end; break;
-              case 'm': num *= 1ULL << 20; ++end; break;
-              case 'g': num *= 1ULL << 30; ++end; break;
-              case 't': num *= 1ULL << 40; ++end; break;
-              default: break;
-            }
+        if (key == "rate") {
+            char *end = nullptr;
+            params.rate = std::strtod(value.c_str(), &end);
+            if (end == value.c_str() || *end != '\0')
+                fatal("bad sample value '%s' for '%s'", value.c_str(),
+                      key.c_str());
+            continue;
         }
-        if (end == value.c_str() || *end != '\0' || num < 0)
+        // Counts take the same k/M/G/T suffixes as the CLI.
+        bool ok = false;
+        const std::uint64_t num = parseSize(value, &ok);
+        if (!ok)
             fatal("bad sample value '%s' for '%s'", value.c_str(),
                   key.c_str());
         if (key == "window")
-            params.window = static_cast<std::uint64_t>(num);
+            params.window = num;
         else if (key == "clusters")
             params.clusters = static_cast<unsigned>(num);
-        else if (key == "rate")
-            params.rate = num;
         else if (key == "warmup")
-            params.warmup = static_cast<std::uint64_t>(num);
+            params.warmup = num;
         else if (key == "prewarm")
-            params.prewarm = static_cast<std::uint64_t>(num);
+            params.prewarm = num;
         else if (key == "dims")
             params.dims = static_cast<unsigned>(num);
         else if (key == "iters")
             params.iters = static_cast<unsigned>(num);
         else if (key == "seed")
-            params.seed = static_cast<std::uint64_t>(num);
+            params.seed = num;
         else
             fatal("unknown sample option '%s'", key.c_str());
     }
+    // Written so a NaN rate fails too.
     if (params.window == 0 || params.clusters == 0 || params.dims == 0
-        || params.iters == 0 || params.rate <= 0.0
-        || params.rate > 1.0)
+        || params.iters == 0
+        || !(params.rate > 0.0 && params.rate <= 1.0))
         fatal("bad sample parameters '%s' (need window/clusters/dims/"
               "iters > 0 and 0 < rate <= 1)",
               text.c_str());

@@ -1,11 +1,9 @@
 #include "trace/source.hpp"
 
-#include <cctype>
-#include <cstdlib>
 #include <mutex>
-#include <optional>
 
 #include "common/bits.hpp"
+#include "common/config.hpp"
 #include "common/log.hpp"
 #include "trace/bintrace.hpp"
 #include "trace/generator.hpp"
@@ -17,29 +15,6 @@ namespace accord::trace
 namespace
 {
 
-/** Parse an unsigned with the CLI's k/M/G/T suffixes; fatal if bad. */
-std::uint64_t
-parseScaledUint(const std::string &key, const std::string &text)
-{
-    char *end = nullptr;
-    const double base = std::strtod(text.c_str(), &end);
-    std::uint64_t multiplier = 1;
-    if (end != text.c_str() && *end != '\0') {
-        switch (std::tolower(static_cast<unsigned char>(*end))) {
-          case 'k': multiplier = 1ULL << 10; ++end; break;
-          case 'm': multiplier = 1ULL << 20; ++end; break;
-          case 'g': multiplier = 1ULL << 30; ++end; break;
-          case 't': multiplier = 1ULL << 40; ++end; break;
-          default: break;
-        }
-    }
-    if (end == text.c_str() || *end != '\0' || base < 0)
-        fatal("source spec: bad value '%s' for option '%s'",
-              text.c_str(), key.c_str());
-    return static_cast<std::uint64_t>(base)
-        * multiplier;
-}
-
 /** Path tail after the last '/' (report-embedded file names). */
 std::string
 basenameOf(const std::string &path)
@@ -50,20 +25,19 @@ basenameOf(const std::string &path)
 
 /**
  * The synthetic workload model behind the "synthetic" registry entry:
- * a WorkloadGen stream, optionally mixed with writeback traffic,
- * optionally bounded to `limit` requests so the sampler can take two
- * passes over it.
+ * a WorkloadGen stream mixed with writeback traffic, optionally
+ * bounded to `limit` requests so the sampler can take two passes over
+ * it.
  */
 class SyntheticSource final : public TrafficSource
 {
   public:
     SyntheticSource(const WorkloadGenParams &gen_params, double wb_frac,
                     unsigned lag, std::uint64_t mixer_seed,
-                    bool mix_writebacks, std::uint64_t limit)
-        : gen_(gen_params), limit_(limit), left_(limit)
+                    std::uint64_t limit)
+        : gen_(gen_params), mixer_(gen_, wb_frac, lag, mixer_seed),
+          limit_(limit), left_(limit)
     {
-        if (mix_writebacks)
-            mixer_.emplace(gen_, wb_frac, lag, mixer_seed);
     }
 
     Request
@@ -71,7 +45,7 @@ class SyntheticSource final : public TrafficSource
     {
         ACCORD_ASSERT(!exhausted(),
                       "next() on an exhausted synthetic source");
-        const Request req = mixer_ ? mixer_->next() : gen_.next();
+        const Request req = mixer_.next();
         if (limit_ > 0)
             --left_;
         return req;
@@ -89,10 +63,7 @@ class SyntheticSource final : public TrafficSource
     bool
     rewind() override
     {
-        if (mixer_)
-            mixer_->rewind();
-        else
-            gen_.rewind();
+        mixer_.rewind();
         left_ = limit_;
         return true;
     }
@@ -108,13 +79,13 @@ class SyntheticSource final : public TrafficSource
     std::string
     describe() const override
     {
-        return (mixer_ ? mixer_->describe() : gen_.describe())
+        return mixer_.describe()
             + (limit_ > 0 ? " limit " + std::to_string(limit_) : "");
     }
 
   private:
     WorkloadGen gen_;
-    std::optional<WritebackMixer> mixer_;
+    WritebackMixer mixer_;
     std::uint64_t limit_;
     std::uint64_t left_;
 };
@@ -133,7 +104,7 @@ registerSynthetic(core::NamedRegistry<SourceFactory> &registry)
             *ctx.spec, ctx.core, ctx.numCores, ctx.scale, ctx.seed);
         return std::make_unique<SyntheticSource>(
             gen_params, ctx.spec->wbFrac, ctx.wbLag,
-            mix64(ctx.seed * 977 + ctx.core), ctx.mixWritebacks,
+            mix64(ctx.seed * 977 + ctx.core),
             parts.optionUint("limit", 0));
     };
     factory.canonical = [](const SourceSpecParts &parts) {
@@ -216,7 +187,12 @@ SourceSpecParts::optionUint(const std::string &key,
     const std::string text = option(key, "");
     if (text.empty())
         return fallback;
-    return parseScaledUint(key, text);
+    bool ok = false;
+    const std::uint64_t value = parseSize(text, &ok);
+    if (!ok)
+        fatal("source spec: bad value '%s' for option '%s'",
+              text.c_str(), key.c_str());
+    return value;
 }
 
 void
@@ -234,6 +210,10 @@ SourceSpecParts::requireKnown(
     }
 }
 
+namespace
+{
+
+/** Split a source spec; fatal() on malformed syntax. */
 SourceSpecParts
 parseSourceSpec(const std::string &spec)
 {
@@ -265,6 +245,8 @@ parseSourceSpec(const std::string &spec)
         fatal("empty source name in spec '%s'", spec.c_str());
     return parts;
 }
+
+} // namespace
 
 core::NamedRegistry<SourceFactory> &
 trafficSourceRegistry()

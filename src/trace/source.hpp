@@ -135,12 +135,6 @@ struct SourceContext
 
     /** Demand-to-writeback lag of the writeback mixer. */
     unsigned wbLag = 2048;
-
-    /**
-     * Emit the workload's writeback traffic (false in full-hierarchy
-     * mode, where the cache stack generates L4 writebacks itself).
-     */
-    bool mixWritebacks = true;
 };
 
 /** A "name(key=value,...)" source spec split into its parts. */
@@ -153,16 +147,13 @@ struct SourceSpecParts
     std::string option(const std::string &key,
                        const std::string &fallback) const;
 
-    /** Integer option with k/M/G suffix support; fatal() if bad. */
+    /** Integer option parsed by accord::parseSize; fatal() if bad. */
     std::uint64_t optionUint(const std::string &key,
                              std::uint64_t fallback) const;
 
     /** fatal() unless every option key is in `known`. */
     void requireKnown(const std::vector<std::string> &known) const;
 };
-
-/** Split a source spec; fatal() on malformed syntax. */
-SourceSpecParts parseSourceSpec(const std::string &spec);
 
 /** How the registry builds and canonicalizes one source kind. */
 struct SourceFactory

@@ -110,10 +110,3 @@ TEST(Types, LineAndRegionConversions)
     EXPECT_EQ(regionOf(lineOf(addr)), addr >> 12);
     EXPECT_EQ(linesPerRegion, 64u);
 }
-
-TEST(Types, WritebackTypePredicate)
-{
-    EXPECT_TRUE(isWritebackType(AccessType::Writeback));
-    EXPECT_FALSE(isWritebackType(AccessType::Read));
-    EXPECT_FALSE(isWritebackType(AccessType::Write));
-}

@@ -37,7 +37,6 @@ boundedLibq(std::uint64_t limit, std::uint64_t seed = 1)
     ctx.scale = 4096;
     ctx.seed = seed;
     ctx.wbLag = 2048;
-    ctx.mixWritebacks = true;
     return makeTrafficSource("synthetic(limit=" + std::to_string(limit)
                                  + ")",
                              ctx);
@@ -111,6 +110,10 @@ TEST(SampleParamsDeath, RejectsMalformedSpecs)
     EXPECT_EXIT(params("rate=1.5"), ::testing::ExitedWithCode(1),
                 "bad sample parameters");
     EXPECT_EXIT(params("window=0"), ::testing::ExitedWithCode(1),
+                "bad sample parameters");
+    EXPECT_EXIT(params("window=nan"), ::testing::ExitedWithCode(1),
+                "bad sample value");
+    EXPECT_EXIT(params("rate=nan"), ::testing::ExitedWithCode(1),
                 "bad sample parameters");
 }
 

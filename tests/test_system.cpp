@@ -149,6 +149,21 @@ TEST(Runner, CliOverridesApply)
     EXPECT_EQ(config.seed, 5u);
 }
 
+TEST(RunnerDeath, OutOfRangeOverridesNameTheKey)
+{
+    const std::pair<std::string, std::string> cases[] = {
+        {"scale", "0"}, {"scale", "1e30"}, {"cores", "0"},
+        {"mlp", "0"}, {"timed", "-5"}};
+    for (const auto &[key, value] : cases) {
+        Config cli;
+        cli.set(key, value);
+        SystemConfig config;
+        EXPECT_EXIT(applyCliOverrides(config, cli),
+                    ::testing::ExitedWithCode(1), "'" + key + "'")
+            << key << "=" << value;
+    }
+}
+
 TEST(Runner, FullFlagSetsScaleOne)
 {
     Config cli;

@@ -43,7 +43,6 @@ libqContext()
     ctx.scale = 4096;
     ctx.seed = 1;
     ctx.wbLag = 2048;
-    ctx.mixWritebacks = true;
     return ctx;
 }
 
@@ -561,6 +560,9 @@ TEST(Registry, CanonicalSpecsAreStable)
     EXPECT_EQ(canonicalTrafficSpec("synthetic"), "synthetic");
     EXPECT_EQ(canonicalTrafficSpec("synthetic(limit=64k)"),
               "synthetic(limit=65536)");
+    // Fractions scale before they truncate, as on the CLI.
+    EXPECT_EQ(canonicalTrafficSpec("synthetic(limit=0.5k)"),
+              "synthetic(limit=512)");
     EXPECT_EQ(canonicalTrafficSpec("cyclic"),
               "cyclic(sets=1024,iters=100)");
     // Paths canonicalize to their basename: reports must not embed

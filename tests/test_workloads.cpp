@@ -42,8 +42,9 @@ TEST(Workloads, MainSetHas21InFigureOrder)
     EXPECT_EQ(main[16], "soplex");
     EXPECT_EQ(main.back(), "mix4");
     for (const auto &name : main) {
-        if (!isMix(name))
+        if (!isMix(name)) {
             EXPECT_TRUE(findBenchmark(name).sensitiveSet) << name;
+        }
     }
 }
 
