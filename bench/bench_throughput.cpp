@@ -138,8 +138,7 @@ main(int argc, char **argv)
         rep.cli().getString("workload", "libq");
     const std::string config_name =
         rep.cli().getString("config", "2way-pws+gws");
-    const auto reps =
-        static_cast<unsigned>(rep.cli().getUint("reps", 3));
+    const unsigned reps = rep.cli().getUint32("reps", 3);
     const std::uint64_t trace_records =
         rep.cli().getUint("trace_records", 4'000'000);
 

@@ -118,8 +118,7 @@ main(int argc, char **argv)
         path = recordDemoTrace(2'000'000);
     const std::uint64_t capacity =
         cli.getUint("capacity", 32ULL << 20);
-    const auto passes =
-        static_cast<unsigned>(cli.getUint("passes", 4));
+    const unsigned passes = cli.getUint32("passes", 4);
 
     TextTable table({"config", "hit-rate", "wp-acc", "xfers/read"});
     replay(path, 1, "", capacity, passes, table);

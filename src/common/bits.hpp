@@ -35,20 +35,6 @@ floorLog2(std::uint64_t value)
     return 63u - static_cast<unsigned>(std::countl_zero(value));
 }
 
-/** Ceil of log2; requires value > 0. */
-constexpr unsigned
-ceilLog2(std::uint64_t value)
-{
-    return value <= 1 ? 0 : floorLog2(value - 1) + 1;
-}
-
-/** Round value up to the next multiple of a power-of-two boundary. */
-constexpr std::uint64_t
-roundUpPow2(std::uint64_t value, std::uint64_t boundary)
-{
-    return (value + boundary - 1) & ~(boundary - 1);
-}
-
 /**
  * Mix the bits of a 64-bit value (SplitMix64 finalizer).
  *

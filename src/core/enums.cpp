@@ -15,15 +15,4 @@ toToken(RequestKind kind)
     fatal("unknown RequestKind %d", static_cast<int>(kind));
 }
 
-RequestKind
-requestKindFromToken(const std::string &token)
-{
-    for (const auto kind :
-         {RequestKind::Demand, RequestKind::Writeback}) {
-        if (token == toToken(kind))
-            return kind;
-    }
-    fatal("unknown request kind '%s'", token.c_str());
-}
-
 } // namespace accord::core

@@ -14,7 +14,6 @@
 #define ACCORD_CORE_ENUMS_HPP
 
 #include <cstdint>
-#include <string>
 
 namespace accord::core
 {
@@ -28,9 +27,6 @@ enum class RequestKind : std::uint8_t
 
 /** Canonical token ("demand", "writeback"). */
 const char *toToken(RequestKind kind);
-
-/** Inverse of toToken(); fatal() on an unknown token. */
-RequestKind requestKindFromToken(const std::string &token);
 
 } // namespace accord::core
 

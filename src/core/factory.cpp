@@ -1,7 +1,6 @@
 #include "core/factory.hpp"
 
-#include <cstdlib>
-
+#include "common/config.hpp"
 #include "common/json.hpp"
 #include "common/log.hpp"
 #include "core/ganged.hpp"
@@ -26,46 +25,21 @@ PolicyOptions::toString() const
 namespace
 {
 
-/** Apply "key=value,..." onto existing options; fatal() on errors. */
-void
-applyOptions(PolicyOptions &options, const std::string &text)
+/**
+ * Read a "key=value,..." policy option list on top of `options`;
+ * each knob declares its range here.  fatal() on errors.
+ */
+PolicyOptions
+applyOptions(PolicyOptions options, const Config &list)
 {
-    std::size_t start = 0;
-    while (start < text.size()) {
-        std::size_t end = text.find(',', start);
-        if (end == std::string::npos)
-            end = text.size();
-        const std::string item = text.substr(start, end - start);
-        start = end + 1;
-        if (item.empty())
-            continue;
-        const std::size_t eq = item.find('=');
-        if (eq == std::string::npos)
-            fatal("bad policy option '%s' (want key=value)",
-                  item.c_str());
-        const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
-        char *rest = nullptr;
-        if (key == "pip") {
-            options.pip = std::strtod(value.c_str(), &rest);
-        } else if (key == "k") {
-            options.swsK = static_cast<unsigned>(
-                std::strtoul(value.c_str(), &rest, 10));
-        } else if (key == "gws") {
-            options.gwsEntries = static_cast<unsigned>(
-                std::strtoul(value.c_str(), &rest, 10));
-        } else if (key == "ptag") {
-            options.partialTagBits = static_cast<unsigned>(
-                std::strtoul(value.c_str(), &rest, 10));
-        } else if (key == "seed") {
-            options.seed = std::strtoull(value.c_str(), &rest, 10);
-        } else {
-            fatal("unknown policy option '%s'", key.c_str());
-        }
-        if (value.empty() || rest == nullptr || *rest != '\0')
-            fatal("bad value '%s' for policy option '%s'",
-                  value.c_str(), key.c_str());
-    }
+    options.pip = list.getDouble("pip", options.pip, 0.0, 1.0);
+    options.swsK = list.getUint32("k", options.swsK, 2);
+    options.gwsEntries = list.getUint32("gws", options.gwsEntries, 1);
+    options.partialTagBits =
+        list.getUint32("ptag", options.partialTagBits, 1, 8);
+    options.seed = list.getUint("seed", options.seed);
+    list.checkConsumed();
+    return options;
 }
 
 } // namespace
@@ -73,24 +47,14 @@ applyOptions(PolicyOptions &options, const std::string &text)
 PolicyOptions
 PolicyOptions::fromString(const std::string &text)
 {
-    PolicyOptions options;
-    applyOptions(options, text);
-    return options;
+    return applyOptions({}, Config::fromOptionList("policy", text));
 }
 
 std::pair<std::string, PolicyOptions>
 parseSpec(const std::string &spec, const PolicyOptions &base)
 {
-    const std::size_t open = spec.find('(');
-    if (open == std::string::npos)
-        return {spec, base};
-    if (spec.back() != ')' || open + 1 >= spec.size())
-        fatal("bad policy spec '%s' (unbalanced parentheses)",
-              spec.c_str());
-    PolicyOptions options = base;
-    applyOptions(options,
-                 spec.substr(open + 1, spec.size() - open - 2));
-    return {spec.substr(0, open), options};
+    const auto [name, list] = parseNamedSpec("policy", spec);
+    return {name, applyOptions(base, list)};
 }
 
 std::string

@@ -9,67 +9,16 @@
 #ifndef ACCORD_CORE_FACTORY_HPP
 #define ACCORD_CORE_FACTORY_HPP
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "common/log.hpp"
 #include "common/paged_table.hpp"
 #include "core/way_policy.hpp"
 
 namespace accord::core
 {
-
-/**
- * A name-keyed registry of factories, the generic half of the
- * registry-backed construction pattern: components (cache
- * organizations, future lookup strategies, ...) register a factory
- * under a string key, and configs select one by name — so adding a
- * variant never edits the code that constructs it.
- *
- * Deliberately ordered (std::map) so names() is deterministic, and
- * duplicate registration is fatal so two translation units cannot
- * silently fight over a name.
- */
-template <typename Factory> class NamedRegistry
-{
-  public:
-    /** Register `factory` under `name`; fatal() on a duplicate. */
-    void
-    add(const std::string &name, Factory factory)
-    {
-        const auto [it, inserted] =
-            entries_.emplace(name, std::move(factory));
-        (void)it;
-        if (!inserted)
-            fatal("registry: duplicate entry '%s'", name.c_str());
-    }
-
-    /** Factory registered under `name`, or nullptr. */
-    const Factory *
-    find(const std::string &name) const
-    {
-        const auto it = entries_.find(name);
-        return it == entries_.end() ? nullptr : &it->second;
-    }
-
-    /** All registered names, sorted. */
-    std::vector<std::string>
-    names() const
-    {
-        std::vector<std::string> out;
-        out.reserve(entries_.size());
-        for (const auto &entry : entries_)
-            out.push_back(entry.first);
-        return out;
-    }
-
-  private:
-    std::map<std::string, Factory> entries_;
-};
 
 /** Knobs shared by the policy constructors. */
 struct PolicyOptions
@@ -110,7 +59,9 @@ struct PolicyOptions
     /**
      * Inverse of toString().  Accepts any subset of the knobs in any
      * order ("pip=0.9,seed=3"); unset knobs keep their defaults.
-     * fatal() on unknown keys or malformed values.
+     * Integers take the CLI's k/M/G/T suffixes (common/config.hpp).
+     * fatal() on unknown or repeated keys, malformed values, and
+     * values outside pip in [0,1], k >= 2, gws >= 1, ptag in [1,8].
      */
     static PolicyOptions fromString(const std::string &text);
 };

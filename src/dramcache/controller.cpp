@@ -1,7 +1,6 @@
 #include "dramcache/controller.hpp"
 
 #include <algorithm>
-#include <typeinfo>
 
 #include "common/bits.hpp"
 #include "common/log.hpp"
@@ -32,24 +31,6 @@ fitTiming(dram::TimingParams timing, std::uint64_t capacity)
             timing.channels /= 2;
     }
     return timing;
-}
-
-/** Resolve the params' organization name against the registry. */
-const OrgFactory *
-resolveOrgFactory(const DramCacheParams &params)
-{
-    registerBuiltinOrganizations();
-    const std::string name =
-        params.orgName.empty() ? toToken(params.org) : params.orgName;
-    const OrgFactory *factory = organizationRegistry().find(name);
-    if (factory == nullptr) {
-        std::string known;
-        for (const auto &entry : organizationRegistry().names())
-            known += (known.empty() ? "" : ", ") + entry;
-        fatal("dram cache: unknown organization '%s' (registered: %s)",
-              name.c_str(), known.c_str());
-    }
-    return factory;
 }
 
 } // namespace
@@ -89,24 +70,20 @@ DramCacheController::DramCacheController(
     const DramCacheParams &params,
     std::unique_ptr<core::WayPolicy> policy, dram::TimingParams timing,
     EventQueue &eq, nvm::NvmSystem &nvm)
-    : params(params), org_factory_(resolveOrgFactory(this->params)),
-      geom(org_factory_->geometry(this->params)),
+    : params(params), geom(orgGeometry(this->params)),
       policy_(std::move(policy)), eq(eq), nvm(nvm),
       hbm_(fitTiming(timing, params.capacityBytes), eq),
       layout(geom, hbm_.params(), params.layout),
       tags(geom, params.stateBackend),
       audit_countdown(params.auditInterval)
 {
-    // The plan core owns the probe bound: any organization a factory
-    // produces must fit its probe sequences in kMaxWays steps.
+    // The plan core owns the probe bound: every organization must fit
+    // its probe sequences in kMaxWays steps.
     ACCORD_ASSERT(geom.ways >= 1 && geom.ways <= kMaxWays,
                   "organization geometry exceeds the plan-core bound");
-    org_ = org_factory_->make(OrgContext{this->params, geom, tags, dcp,
-                                         stats_, policy_.get(), *this});
-    // Exact-type check, not dynamic_cast: a registry plug-in derived
-    // from SetAssocOrg must keep virtual dispatch so its overrides
-    // run; only the built-in itself takes the qualified-call path.
-    setassoc_ = typeid(*org_) == typeid(SetAssocOrg)
+    org_ = makeOrganization(OrgContext{this->params, geom, tags, dcp,
+                                       stats_, policy_.get(), *this});
+    setassoc_ = params.org == Organization::SetAssoc
         ? static_cast<SetAssocOrg *>(org_.get())
         : nullptr;
 }

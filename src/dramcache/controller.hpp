@@ -223,9 +223,6 @@ class DramCacheController : private OrgServices
 
     DramCacheParams params;
 
-    /** Registry factory the params resolve to (stable for our lifetime). */
-    const OrgFactory *org_factory_;
-
     core::CacheGeometry geom;
     std::unique_ptr<core::WayPolicy> policy_;
     EventQueue &eq;
@@ -243,13 +240,12 @@ class DramCacheController : private OrgServices
     std::unique_ptr<OrgStrategy> org_;
 
     /**
-     * Devirtualized view of org_ when its dynamic type is exactly the
-     * built-in set-associative strategy — the overwhelmingly common
-     * case.  The timed read engine calls plan/hit hooks through this
-     * pointer with qualified (non-virtual, inlinable) calls; any other
-     * organization (CA, registry plug-ins, SetAssocOrg subclasses)
-     * keeps the virtual path.  Null when org_ is not exactly a
-     * SetAssocOrg.
+     * Devirtualized view of org_ when the organization is
+     * set-associative — the overwhelmingly common case.  SetAssocOrg
+     * is `final`, so the timed read engine's plan/hit calls through
+     * this pointer bind statically (non-virtual, inlinable); the CA
+     * organization keeps the virtual path.  Null for any other
+     * organization.
      */
     SetAssocOrg *setassoc_ = nullptr;
 

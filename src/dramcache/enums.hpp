@@ -83,11 +83,7 @@ const char *toToken(LayoutMode layout);
 /** Canonical token ("dense", "paged", "auto"). */
 const char *toToken(StateBackend backend);
 
-/** Inverse of toToken(); fatal() on an unknown token. */
-LookupMode lookupModeFromToken(const std::string &token);
-Organization organizationFromToken(const std::string &token);
-L4Replacement replacementFromToken(const std::string &token);
-LayoutMode layoutModeFromToken(const std::string &token);
+/** Inverse of toToken(StateBackend); fatal() on an unknown token. */
 StateBackend stateBackendFromToken(const std::string &token);
 
 /** Concrete storage mode for a table of `slots` under `backend`. */

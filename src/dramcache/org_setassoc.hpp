@@ -21,13 +21,11 @@ namespace accord::dramcache
 {
 
 /**
- * Set-associative / direct-mapped strategy.  Not `final` — registry
- * plug-ins may subclass it (see test_org_registry's ToyOrg) — so the
- * timed engine's devirtualized fast path engages only when the
- * controller proves the dynamic type is exactly SetAssocOrg and then
- * uses qualified (non-virtual, inlinable) calls.
+ * Set-associative / direct-mapped strategy.  `final`, so the timed
+ * engine's calls through a SetAssocOrg pointer bind statically
+ * (non-virtual, inlinable).
  */
-class SetAssocOrg : public OrgStrategy
+class SetAssocOrg final : public OrgStrategy
 {
   public:
     explicit SetAssocOrg(const OrgContext &ctx);

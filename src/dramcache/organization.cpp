@@ -1,44 +1,36 @@
 #include "dramcache/organization.hpp"
 
-#include <mutex>
-
-#include "dramcache/enums.hpp"
+#include "common/log.hpp"
 #include "dramcache/org_colassoc.hpp"
 #include "dramcache/org_setassoc.hpp"
 
 namespace accord::dramcache
 {
 
-core::NamedRegistry<OrgFactory> &
-organizationRegistry()
+core::CacheGeometry
+orgGeometry(const DramCacheParams &params)
 {
-    static core::NamedRegistry<OrgFactory> registry;
-    return registry;
+    switch (params.org) {
+      case Organization::SetAssoc:
+        return SetAssocOrg::geometryFor(params);
+      case Organization::ColumnAssoc:
+        return ColAssocOrg::geometryFor(params);
+    }
+    fatal("dram cache: unknown Organization %d",
+          static_cast<int>(params.org));
 }
 
-void
-registerBuiltinOrganizations()
+std::unique_ptr<OrgStrategy>
+makeOrganization(const OrgContext &ctx)
 {
-    // Explicit and idempotent rather than static-initializer magic:
-    // the controller calls this before resolving its factory, so
-    // builtins exist regardless of link order, and user-registered
-    // organizations can never race them.  call_once makes concurrent
-    // sweep workers wait until the adds are done, not skip them.
-    static std::once_flag once;
-    std::call_once(once, [] {
-        organizationRegistry().add(
-            toToken(Organization::SetAssoc),
-            {&SetAssocOrg::geometryFor, [](const OrgContext &ctx) {
-                 return std::unique_ptr<OrgStrategy>(
-                     std::make_unique<SetAssocOrg>(ctx));
-             }});
-        organizationRegistry().add(
-            toToken(Organization::ColumnAssoc),
-            {&ColAssocOrg::geometryFor, [](const OrgContext &ctx) {
-                 return std::unique_ptr<OrgStrategy>(
-                     std::make_unique<ColAssocOrg>(ctx));
-             }});
-    });
+    switch (ctx.params.org) {
+      case Organization::SetAssoc:
+        return std::make_unique<SetAssocOrg>(ctx);
+      case Organization::ColumnAssoc:
+        return std::make_unique<ColAssocOrg>(ctx);
+    }
+    fatal("dram cache: unknown Organization %d",
+          static_cast<int>(ctx.params.org));
 }
 
 } // namespace accord::dramcache

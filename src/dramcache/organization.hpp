@@ -8,11 +8,11 @@
  * install/eviction, and writeback routing.  The controller keeps the
  * WHEN: event scheduling, device issue, tracing, and latency stats.
  *
- * Concrete strategies (set-associative, column-associative, or any
- * new organization) register themselves by name in
- * organizationRegistry(); the controller constructs whichever one the
- * config names, so adding an organization never touches the
- * controller or the plan core.
+ * The concrete strategies (set-associative, column-associative) are
+ * chosen by switches on DramCacheParams::org in organization.cpp
+ * (orgGeometry(), makeOrganization()); adding an organization is one
+ * enum value and one case in each, and never touches the controller
+ * or the plan core.
  */
 
 #ifndef ACCORD_DRAMCACHE_ORGANIZATION_HPP
@@ -24,7 +24,6 @@
 
 #include "common/invariant_auditor.hpp"
 #include "common/trace_event/trace_event.hpp"
-#include "core/factory.hpp"
 #include "core/way_policy.hpp"
 #include "dram/mem_op.hpp"
 #include "dramcache/access_plan.hpp"
@@ -181,25 +180,11 @@ class OrgStrategy
     OrgContext ctx_;
 };
 
-/** Name-keyed constructor pair for one organization. */
-struct OrgFactory
-{
-    /** Array geometry this organization imposes on the params. */
-    std::function<core::CacheGeometry(const DramCacheParams &)> geometry;
+/** Array geometry the organization `params.org` imposes on `params`. */
+core::CacheGeometry orgGeometry(const DramCacheParams &params);
 
-    /** Build the strategy over the controller's shared state. */
-    std::function<std::unique_ptr<OrgStrategy>(const OrgContext &)> make;
-};
-
-/** The process-wide organization registry. */
-core::NamedRegistry<OrgFactory> &organizationRegistry();
-
-/**
- * Ensure the built-in organizations ("set_assoc", "ca") are
- * registered.  Idempotent; the controller calls it before resolving
- * its factory so registration order never matters.
- */
-void registerBuiltinOrganizations();
+/** Build the strategy `ctx.params.org` names over the shared state. */
+std::unique_ptr<OrgStrategy> makeOrganization(const OrgContext &ctx);
 
 } // namespace accord::dramcache
 

@@ -29,13 +29,6 @@ struct DramCacheParams
     Organization org = Organization::SetAssoc;
     LookupMode lookup = LookupMode::Predicted;
 
-    /**
-     * Organization factory key ("set_assoc", "ca", or any name added
-     * to organizationRegistry()).  Empty selects the token of `org`,
-     * so existing enum-based configs keep working unchanged.
-     */
-    std::string orgName;
-
     /** Writebacks carry DCP way bits and skip the probe (II-B3). */
     bool dcpWayBits = true;
 

@@ -46,9 +46,9 @@ DramCacheController::read(LineAddr line, ReadDone done,
     // every demand read.
     auto txn =
         std::allocate_shared<ReadTxn>(PoolAllocator<ReadTxn>(txn_pool_));
-    // Devirtualized fast path: when the organization is exactly the
-    // built-in SetAssocOrg, qualified calls skip the vtable and inline.
-    txn->plan = setassoc_ != nullptr ? setassoc_->SetAssocOrg::planRead(line)
+    // Devirtualized fast path: SetAssocOrg is final, so calls through
+    // setassoc_ skip the vtable and inline.
+    txn->plan = setassoc_ != nullptr ? setassoc_->planRead(line)
                                      : org_->planRead(line);
     txn->done = std::move(done);
     txn->start = eq.now();
@@ -175,7 +175,7 @@ DramCacheController::finishHit(const std::shared_ptr<ReadTxn> &txn,
     hit.timed = true;
     hit.trace = txn->trace;
     if (setassoc_ != nullptr)
-        setassoc_->SetAssocOrg::onReadHit(hit);
+        setassoc_->onReadHit(hit);
     else
         org_->onReadHit(hit);
 
@@ -201,7 +201,7 @@ DramCacheController::finishHit(const std::shared_ptr<ReadTxn> &txn,
     // Post-completion work (e.g. the CA swap-to-primary) runs off the
     // critical path, after the requester has its data.
     if (setassoc_ != nullptr)
-        setassoc_->OrgStrategy::afterReadHit(hit); // the base no-op
+        setassoc_->afterReadHit(hit); // the base no-op
     else
         org_->afterReadHit(hit);
 }
@@ -212,7 +212,7 @@ DramCacheController::missConfirmed(const std::shared_ptr<ReadTxn> &txn,
 {
     stats_.readHits.miss();
     if (setassoc_ != nullptr)
-        setassoc_->SetAssocOrg::onReadMiss(txn->plan.ref);
+        setassoc_->onReadMiss(txn->plan.ref);
     else
         org_->onReadMiss(txn->plan.ref);
     stats_.nvmReads.inc();
@@ -243,7 +243,7 @@ DramCacheController::missConfirmed(const std::shared_ptr<ReadTxn> &txn,
         // Fill off the critical path: functional install now, the
         // array writes and any victim writeback posted.
         if (setassoc_ != nullptr)
-            setassoc_->SetAssocOrg::installAfterMiss(txn->plan.ref.line,
+            setassoc_->installAfterMiss(txn->plan.ref.line,
                                         /* timed */ true, txn->trace);
         else
             org_->installAfterMiss(txn->plan.ref.line, /* timed */ true,

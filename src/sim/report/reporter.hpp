@@ -9,9 +9,9 @@
  * `--csv=<path>` (parsed here, before the key=value Config) select the
  * report files written by finish().
  *
- * This layer is the one place allowed to print metrics: the
- * determinism lint (tools/lint_determinism.py, rule printf-metrics)
- * flags direct std::printf of results inside bench/ sources.
+ * This layer is the one place allowed to print metrics: the analyzer
+ * (tools/accord_analyzer, rule printf-metrics) flags direct
+ * std::printf of results inside bench/ sources.
  */
 
 #ifndef ACCORD_SIM_REPORT_REPORTER_HPP

@@ -36,19 +36,20 @@ weightedSpeedup(const SystemMetrics &config,
 void
 applyCliOverrides(SystemConfig &config, const Config &cli)
 {
+    // Zero scale, cores or mlp would crash deep inside the run
+    // instead: scale divides the cache size, and a run without cores
+    // or outstanding misses cannot make progress.
     if (cli.getBool("full", false))
         config.scale = 1;
-    config.scale = cli.getUint("scale", config.scale);
-    config.numCores =
-        static_cast<unsigned>(cli.getUint("cores", config.numCores));
+    config.scale = cli.getUint("scale", config.scale, 1);
+    config.numCores = cli.getUint32("cores", config.numCores, 1);
     config.timedPerCore = cli.getUint("timed", config.timedPerCore);
     config.warmPerCore = cli.getUint("warm", config.warmPerCore);
     config.measurePerCore =
         cli.getUint("measure", config.measurePerCore);
     config.seed = cli.getUint("seed", config.seed);
-    config.mlp = static_cast<unsigned>(cli.getUint("mlp", config.mlp));
-    config.jobs =
-        static_cast<unsigned>(cli.getUint("jobs", config.jobs));
+    config.mlp = cli.getUint32("mlp", config.mlp, 1);
+    config.jobs = cli.getUint32("jobs", config.jobs);
     config.epochEvery = cli.getUint("epoch", config.epochEvery);
     config.tracePath = cli.getString("trace", config.tracePath);
     config.traceCap = cli.getUint("trace_cap", config.traceCap);
@@ -64,18 +65,6 @@ applyCliOverrides(SystemConfig &config, const Config &cli)
         cli.getString("telemetry", config.telemetryPath);
     config.telemetryInterval =
         cli.getUint("telemetry_interval", config.telemetryInterval);
-
-    // Zero would crash deep inside the run instead: scale divides the
-    // cache size, and a run without cores or outstanding misses
-    // cannot make progress.
-    const std::pair<const char *, std::uint64_t> counts[] = {
-        {"scale", config.scale},
-        {"cores", config.numCores},
-        {"mlp", config.mlp}};
-    for (const auto &[key, value] : counts) {
-        if (value == 0)
-            fatal("config key '%s': must be at least 1", key);
-    }
 }
 
 std::string

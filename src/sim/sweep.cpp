@@ -22,8 +22,7 @@ resolveJobs(unsigned jobs)
 SweepRunner::SweepRunner(unsigned jobs) : jobs_(resolveJobs(jobs)) {}
 
 SweepRunner::SweepRunner(const Config &cli)
-    : jobs_(resolveJobs(
-          static_cast<unsigned>(cli.getUint("jobs", 0))))
+    : jobs_(resolveJobs(cli.getUint32("jobs", 0)))
 {
 }
 

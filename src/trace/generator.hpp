@@ -15,7 +15,7 @@
  * exactly the situation a physically indexed DRAM cache sees.
  *
  * All generators implement the TrafficSource interface (source.hpp);
- * they are normally built through the source registry ("synthetic",
+ * they are normally built by makeTrafficSource() ("synthetic",
  * "cyclic") rather than constructed directly.
  */
 
@@ -141,13 +141,6 @@ class CyclicPairGen : public TrafficSource
     LineAddr line_b = 0;
     unsigned remaining = 0;
     bool emit_b = false;
-};
-
-/** One element of the L4-bound stream: a demand read or a writeback. */
-struct L4Access
-{
-    LineAddr line = 0;
-    bool isWriteback = false;
 };
 
 /**

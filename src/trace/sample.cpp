@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 #include "common/bits.hpp"
@@ -51,58 +50,18 @@ SampleParams::toString() const
 SampleParams
 SampleParams::fromString(const std::string &text)
 {
+    const Config list = Config::fromOptionList("sample", text);
     SampleParams params;
-    std::string rest = text;
-    while (!rest.empty()) {
-        const auto comma = rest.find(',');
-        const std::string item = rest.substr(0, comma);
-        rest = comma == std::string::npos ? std::string()
-                                          : rest.substr(comma + 1);
-        if (item.empty())
-            continue;
-        const auto eq = item.find('=');
-        if (eq == std::string::npos || eq == 0)
-            fatal("malformed sample option '%s'", item.c_str());
-        const std::string key = item.substr(0, eq);
-        const std::string value = item.substr(eq + 1);
-        if (key == "rate") {
-            char *end = nullptr;
-            params.rate = std::strtod(value.c_str(), &end);
-            if (end == value.c_str() || *end != '\0')
-                fatal("bad sample value '%s' for '%s'", value.c_str(),
-                      key.c_str());
-            continue;
-        }
-        // Counts take the same k/M/G/T suffixes as the CLI.
-        bool ok = false;
-        const std::uint64_t num = parseSize(value, &ok);
-        if (!ok)
-            fatal("bad sample value '%s' for '%s'", value.c_str(),
-                  key.c_str());
-        if (key == "window")
-            params.window = num;
-        else if (key == "clusters")
-            params.clusters = static_cast<unsigned>(num);
-        else if (key == "warmup")
-            params.warmup = num;
-        else if (key == "prewarm")
-            params.prewarm = num;
-        else if (key == "dims")
-            params.dims = static_cast<unsigned>(num);
-        else if (key == "iters")
-            params.iters = static_cast<unsigned>(num);
-        else if (key == "seed")
-            params.seed = num;
-        else
-            fatal("unknown sample option '%s'", key.c_str());
-    }
-    // Written so a NaN rate fails too.
-    if (params.window == 0 || params.clusters == 0 || params.dims == 0
-        || params.iters == 0
-        || !(params.rate > 0.0 && params.rate <= 1.0))
-        fatal("bad sample parameters '%s' (need window/clusters/dims/"
-              "iters > 0 and 0 < rate <= 1)",
-              text.c_str());
+    params.window = list.getUint("window", params.window, 1);
+    params.clusters = list.getUint32("clusters", params.clusters, 1);
+    params.rate = list.getDouble("rate", params.rate, 0.0, 1.0,
+                                 /* lo_open */ true);
+    params.warmup = list.getUint("warmup", params.warmup);
+    params.prewarm = list.getUint("prewarm", params.prewarm);
+    params.dims = list.getUint32("dims", params.dims, 1);
+    params.iters = list.getUint32("iters", params.iters, 1);
+    params.seed = list.getUint("seed", params.seed);
+    list.checkConsumed();
     return params;
 }
 

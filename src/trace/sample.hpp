@@ -95,8 +95,8 @@ struct SampleParams
 
     /**
      * Inverse of toString(); accepts any subset of knobs in any order,
-     * unset knobs keep their defaults.  fatal() on unknown keys or
-     * malformed values.
+     * unset knobs keep their defaults.  fatal() on unknown or repeated
+     * keys, malformed values, and values out of range.
      */
     static SampleParams fromString(const std::string &text);
 };

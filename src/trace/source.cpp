@@ -1,7 +1,5 @@
 #include "trace/source.hpp"
 
-#include <mutex>
-
 #include "common/bits.hpp"
 #include "common/config.hpp"
 #include "common/log.hpp"
@@ -24,7 +22,7 @@ basenameOf(const std::string &path)
 }
 
 /**
- * The synthetic workload model behind the "synthetic" registry entry:
+ * The synthetic workload model behind the "synthetic" source:
  * a WorkloadGen stream mixed with writeback traffic, optionally
  * bounded to `limit` requests so the sampler can take two passes over
  * it.
@@ -90,208 +88,83 @@ class SyntheticSource final : public TrafficSource
     std::uint64_t left_;
 };
 
-void
-registerSynthetic(core::NamedRegistry<SourceFactory> &registry)
+/** A source spec's name and options, each read and range-checked once. */
+struct SourceSpec
 {
-    SourceFactory factory;
-    factory.make = [](const SourceSpecParts &parts,
-                      const SourceContext &ctx)
-        -> std::unique_ptr<TrafficSource> {
-        parts.requireKnown({"limit"});
+    std::string name;
+    std::uint64_t limit = 0;    ///< synthetic: stream bound (0 = none)
+    std::uint64_t sets = 1024;  ///< cyclic
+    unsigned iters = 100;       ///< cyclic
+    std::string file;           ///< trace
+    std::uint64_t loop = 0;     ///< trace
+    std::uint64_t stripe = 1;   ///< trace
+};
+
+/** Parse a "name(key=value,...)" source spec; fatal() on errors. */
+SourceSpec
+parseSourceSpec(const std::string &text)
+{
+    const auto [name, list] = parseNamedSpec("source", text);
+    SourceSpec spec;
+    spec.name = name;
+    if (name == "synthetic") {
+        spec.limit = list.getUint("limit", spec.limit);
+    } else if (name == "cyclic") {
+        spec.sets = list.getUint("sets", spec.sets);
+        spec.iters = list.getUint32("iters", spec.iters);
+    } else if (name == "trace") {
+        spec.file = list.getString("file", spec.file);
+        spec.loop = list.getUint("loop", spec.loop);
+        spec.stripe = list.getUint("stripe", spec.stripe);
+    } else {
+        fatal("unknown traffic source '%s' (spec '%s')", name.c_str(),
+              text.c_str());
+    }
+    list.checkConsumed();
+    return spec;
+}
+
+} // namespace
+
+std::unique_ptr<TrafficSource>
+makeTrafficSource(const std::string &text, const SourceContext &ctx)
+{
+    const SourceSpec spec = parseSourceSpec(text);
+    if (spec.name == "synthetic") {
         if (ctx.spec == nullptr)
             fatal("source=synthetic needs a workload spec");
         const WorkloadGenParams gen_params = generatorParams(
             *ctx.spec, ctx.core, ctx.numCores, ctx.scale, ctx.seed);
         return std::make_unique<SyntheticSource>(
             gen_params, ctx.spec->wbFrac, ctx.wbLag,
-            mix64(ctx.seed * 977 + ctx.core),
-            parts.optionUint("limit", 0));
-    };
-    factory.canonical = [](const SourceSpecParts &parts) {
-        parts.requireKnown({"limit"});
-        const std::uint64_t limit = parts.optionUint("limit", 0);
-        if (limit == 0)
-            return std::string("synthetic");
-        return "synthetic(limit=" + std::to_string(limit) + ")";
-    };
-    registry.add("synthetic", std::move(factory));
-}
-
-void
-registerCyclic(core::NamedRegistry<SourceFactory> &registry)
-{
-    SourceFactory factory;
-    factory.make = [](const SourceSpecParts &parts,
-                      const SourceContext &ctx)
-        -> std::unique_ptr<TrafficSource> {
-        parts.requireKnown({"sets", "iters"});
+            mix64(ctx.seed * 977 + ctx.core), spec.limit);
+    }
+    if (spec.name == "cyclic")
         return std::make_unique<CyclicPairGen>(
-            parts.optionUint("sets", 1024),
-            static_cast<unsigned>(parts.optionUint("iters", 100)),
-            mix64(ctx.seed * 613 + ctx.core));
-    };
-    factory.canonical = [](const SourceSpecParts &parts) {
-        parts.requireKnown({"sets", "iters"});
-        return "cyclic(sets="
-            + std::to_string(parts.optionUint("sets", 1024)) + ",iters="
-            + std::to_string(parts.optionUint("iters", 100)) + ")";
-    };
-    registry.add("cyclic", std::move(factory));
-}
-
-void
-registerTrace(core::NamedRegistry<SourceFactory> &registry)
-{
-    SourceFactory factory;
-    factory.make = [](const SourceSpecParts &parts,
-                      const SourceContext &ctx)
-        -> std::unique_ptr<TrafficSource> {
-        parts.requireKnown({"file", "loop", "stripe"});
-        const std::string file = parts.option("file", "");
-        if (file.empty())
-            fatal("source=trace needs file=<path.trc>");
-        const bool loop = parts.optionUint("loop", 0) != 0;
-        const bool stripe = parts.optionUint("stripe", 1) != 0;
-        return std::make_unique<TraceSource>(
-            file, loop, stripe ? ctx.numCores : 1,
-            stripe ? ctx.core : 0);
-    };
-    factory.canonical = [](const SourceSpecParts &parts) {
-        parts.requireKnown({"file", "loop", "stripe"});
-        // Basename only: reports must not embed host-specific paths.
-        return "trace(file=" + basenameOf(parts.option("file", ""))
-            + ",loop=" + std::to_string(parts.optionUint("loop", 0))
-            + ",stripe="
-            + std::to_string(parts.optionUint("stripe", 1)) + ")";
-    };
-    registry.add("trace", std::move(factory));
-}
-
-} // namespace
-
-std::string
-SourceSpecParts::option(const std::string &key,
-                        const std::string &fallback) const
-{
-    for (const auto &[k, v] : options) {
-        if (k == key)
-            return v;
-    }
-    return fallback;
-}
-
-std::uint64_t
-SourceSpecParts::optionUint(const std::string &key,
-                            std::uint64_t fallback) const
-{
-    const std::string text = option(key, "");
-    if (text.empty())
-        return fallback;
-    bool ok = false;
-    const std::uint64_t value = parseSize(text, &ok);
-    if (!ok)
-        fatal("source spec: bad value '%s' for option '%s'",
-              text.c_str(), key.c_str());
-    return value;
-}
-
-void
-SourceSpecParts::requireKnown(
-    const std::vector<std::string> &known) const
-{
-    for (const auto &[k, v] : options) {
-        (void)v;
-        bool found = false;
-        for (const std::string &candidate : known)
-            found = found || candidate == k;
-        if (!found)
-            fatal("source '%s': unknown option '%s'", name.c_str(),
-                  k.c_str());
-    }
-}
-
-namespace
-{
-
-/** Split a source spec; fatal() on malformed syntax. */
-SourceSpecParts
-parseSourceSpec(const std::string &spec)
-{
-    SourceSpecParts parts;
-    const auto open = spec.find('(');
-    if (open == std::string::npos) {
-        parts.name = spec;
-    } else {
-        if (spec.empty() || spec.back() != ')')
-            fatal("malformed source spec '%s'", spec.c_str());
-        parts.name = spec.substr(0, open);
-        std::string inner =
-            spec.substr(open + 1, spec.size() - open - 2);
-        while (!inner.empty()) {
-            const auto comma = inner.find(',');
-            const std::string item = inner.substr(0, comma);
-            inner = comma == std::string::npos
-                ? std::string()
-                : inner.substr(comma + 1);
-            const auto eq = item.find('=');
-            if (eq == std::string::npos || eq == 0)
-                fatal("malformed source option '%s' in '%s'",
-                      item.c_str(), spec.c_str());
-            parts.options.emplace_back(item.substr(0, eq),
-                                       item.substr(eq + 1));
-        }
-    }
-    if (parts.name.empty())
-        fatal("empty source name in spec '%s'", spec.c_str());
-    return parts;
-}
-
-} // namespace
-
-core::NamedRegistry<SourceFactory> &
-trafficSourceRegistry()
-{
-    static core::NamedRegistry<SourceFactory> registry;
-    return registry;
-}
-
-void
-registerBuiltinTrafficSources()
-{
-    // call_once: concurrent sweep workers wait for the adds to finish.
-    static std::once_flag once;
-    std::call_once(once, [] {
-        auto &registry = trafficSourceRegistry();
-        registerSynthetic(registry);
-        registerCyclic(registry);
-        registerTrace(registry);
-    });
-}
-
-std::unique_ptr<TrafficSource>
-makeTrafficSource(const std::string &spec, const SourceContext &ctx)
-{
-    registerBuiltinTrafficSources();
-    const SourceSpecParts parts = parseSourceSpec(spec);
-    const SourceFactory *factory =
-        trafficSourceRegistry().find(parts.name);
-    if (factory == nullptr)
-        fatal("unknown traffic source '%s' (spec '%s')",
-              parts.name.c_str(), spec.c_str());
-    return factory->make(parts, ctx);
+            spec.sets, spec.iters, mix64(ctx.seed * 613 + ctx.core));
+    if (spec.file.empty())
+        fatal("source=trace needs file=<path.trc>");
+    const bool stripe = spec.stripe != 0;
+    return std::make_unique<TraceSource>(spec.file, spec.loop != 0,
+                                         stripe ? ctx.numCores : 1,
+                                         stripe ? ctx.core : 0);
 }
 
 std::string
-canonicalTrafficSpec(const std::string &spec)
+canonicalTrafficSpec(const std::string &text)
 {
-    registerBuiltinTrafficSources();
-    const SourceSpecParts parts = parseSourceSpec(spec);
-    const SourceFactory *factory =
-        trafficSourceRegistry().find(parts.name);
-    if (factory == nullptr)
-        fatal("unknown traffic source '%s' (spec '%s')",
-              parts.name.c_str(), spec.c_str());
-    return factory->canonical(parts);
+    const SourceSpec spec = parseSourceSpec(text);
+    if (spec.name == "synthetic")
+        return spec.limit == 0
+            ? std::string("synthetic")
+            : "synthetic(limit=" + std::to_string(spec.limit) + ")";
+    if (spec.name == "cyclic")
+        return "cyclic(sets=" + std::to_string(spec.sets)
+            + ",iters=" + std::to_string(spec.iters) + ")";
+    // Basename only: reports must not embed host-specific paths.
+    return "trace(file=" + basenameOf(spec.file)
+        + ",loop=" + std::to_string(spec.loop)
+        + ",stripe=" + std::to_string(spec.stripe) + ")";
 }
 
 } // namespace accord::trace

@@ -6,10 +6,10 @@
  * binary traces, the SimPoint-style sampler — implements one narrow
  * pull interface that yields full Request records (line address, kind,
  * request class, stream position) instead of bare line addresses.
- * Sources are built through a registry-backed factory mirroring
- * organizationRegistry(): a spec string "name(key=value,...)" selects
- * and parameterizes the source, so new stream kinds register here and
- * land without touching core_model / system / runner.
+ * A spec string "name(key=value,...)" selects and parameterizes the
+ * source; makeTrafficSource() builds it by name, so a new stream kind
+ * lands in source.cpp without touching core_model / system / runner.
+ * Options follow the shared spec grammar of common/config.hpp.
  *
  * Spec strings accepted by makeTrafficSource():
  *
@@ -26,15 +26,11 @@
 #define ACCORD_TRACE_SOURCE_HPP
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "common/types.hpp"
 #include "core/enums.hpp"
-#include "core/factory.hpp"
 
 namespace accord::trace
 {
@@ -115,7 +111,7 @@ class TrafficSource
 };
 
 /**
- * Everything a source factory may need about the run asking for the
+ * Everything a source may need about the run asking for the
  * stream.  Synthetic sources use the workload spec and seeds; trace
  * sources use core/numCores for striping.
  */
@@ -137,57 +133,21 @@ struct SourceContext
     unsigned wbLag = 2048;
 };
 
-/** A "name(key=value,...)" source spec split into its parts. */
-struct SourceSpecParts
-{
-    std::string name;
-    std::vector<std::pair<std::string, std::string>> options;
-
-    /** Value of `key`, or `fallback` if absent. */
-    std::string option(const std::string &key,
-                       const std::string &fallback) const;
-
-    /** Integer option parsed by accord::parseSize; fatal() if bad. */
-    std::uint64_t optionUint(const std::string &key,
-                             std::uint64_t fallback) const;
-
-    /** fatal() unless every option key is in `known`. */
-    void requireKnown(const std::vector<std::string> &known) const;
-};
-
-/** How the registry builds and canonicalizes one source kind. */
-struct SourceFactory
-{
-    /** Build the stream; fatal() on bad options. */
-    std::function<std::unique_ptr<TrafficSource>(
-        const SourceSpecParts &, const SourceContext &)>
-        make;
-
-    /**
-     * Canonical fixed-order rendering of the spec for run reports
-     * (defaults filled in, file paths reduced to basenames so reports
-     * are host-independent).
-     */
-    std::function<std::string(const SourceSpecParts &)> canonical;
-};
-
-/** The name-keyed source registry (see organizationRegistry()). */
-core::NamedRegistry<SourceFactory> &trafficSourceRegistry();
-
-/** Register the built-in sources; idempotent. */
-void registerBuiltinTrafficSources();
-
 /** Default spec used when no source= override is given. */
 inline constexpr const char *kDefaultTrafficSpec = "synthetic";
 
 /**
- * Build a traffic source from a spec string via the registry;
- * fatal() on an unknown name or malformed spec.
+ * Build a traffic source from a spec string; fatal() on an unknown
+ * name or a malformed spec.
  */
 std::unique_ptr<TrafficSource>
 makeTrafficSource(const std::string &spec, const SourceContext &ctx);
 
-/** Canonical rendering of `spec` (what RunReport embeds). */
+/**
+ * Canonical rendering of `spec` (what RunReport embeds): fixed option
+ * order, defaults filled in, and file paths reduced to basenames so
+ * reports are host-independent.
+ */
 std::string canonicalTrafficSpec(const std::string &spec);
 
 } // namespace accord::trace

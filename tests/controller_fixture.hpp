@@ -41,7 +41,7 @@ struct MiniSystem
     {
     }
 
-    /** Full-params overload (orgName, replacement, audit settings). */
+    /** Full-params overload (replacement, audit settings). */
     MiniSystem(const dramcache::DramCacheParams &params,
                const std::string &policy_spec)
     {

@@ -45,23 +45,6 @@ TEST(Bits, FloorLog2)
     EXPECT_EQ(floorLog2(1ULL << 63), 63u);
 }
 
-TEST(Bits, CeilLog2)
-{
-    EXPECT_EQ(ceilLog2(1), 0u);
-    EXPECT_EQ(ceilLog2(2), 1u);
-    EXPECT_EQ(ceilLog2(3), 2u);
-    EXPECT_EQ(ceilLog2(4), 2u);
-    EXPECT_EQ(ceilLog2(5), 3u);
-}
-
-TEST(Bits, RoundUpPow2)
-{
-    EXPECT_EQ(roundUpPow2(0, 8), 0u);
-    EXPECT_EQ(roundUpPow2(1, 8), 8u);
-    EXPECT_EQ(roundUpPow2(8, 8), 8u);
-    EXPECT_EQ(roundUpPow2(9, 8), 16u);
-}
-
 TEST(Bits, Mix64Deterministic)
 {
     EXPECT_EQ(mix64(42), mix64(42));
@@ -79,7 +62,7 @@ TEST(Bits, Mix64SpreadsLowBits)
     EXPECT_LT(same_low_byte, 16);
 }
 
-/** Property sweep: floorLog2/ceilLog2 consistency across powers. */
+/** Property sweep: floorLog2 across powers of two and neighbours. */
 class Log2Property : public ::testing::TestWithParam<unsigned>
 {
 };
@@ -89,12 +72,9 @@ TEST_P(Log2Property, PowerOfTwoRoundTrip)
     const unsigned shift = GetParam();
     const std::uint64_t value = 1ULL << shift;
     EXPECT_EQ(floorLog2(value), shift);
-    EXPECT_EQ(ceilLog2(value), shift);
     if (shift > 1) {
         EXPECT_EQ(floorLog2(value + 1), shift);
-        EXPECT_EQ(ceilLog2(value + 1), shift + 1);
         EXPECT_EQ(floorLog2(value - 1), shift - 1);
-        EXPECT_EQ(ceilLog2(value - 1), shift);
     }
 }
 

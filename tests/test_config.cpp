@@ -11,6 +11,11 @@ TEST(ParseSize, PlainDigits)
     bool ok = false;
     EXPECT_EQ(parseSize("1234", &ok), 1234u);
     EXPECT_TRUE(ok);
+    // Exact above 2^53, where a double would round (to ...992).
+    EXPECT_EQ(parseSize("9007199254740993", &ok), 9007199254740993ULL);
+    EXPECT_TRUE(ok);
+    EXPECT_EQ(parseSize("18446744073709551615", &ok), ~0ULL);
+    EXPECT_TRUE(ok);
 }
 
 TEST(ParseSize, Suffixes)
@@ -56,7 +61,8 @@ TEST(ParseSize, Malformed)
     parseSize("", &ok);
     EXPECT_FALSE(ok);
     // Values a uint64_t cannot hold: casting them is undefined.
-    for (const char *text : {"-1", "nan", "inf", "1e30", "16777216T"}) {
+    for (const char *text : {"-1", "nan", "inf", "1e30", "16777216T",
+                             "18446744073709551616"}) {
         ok = true;
         parseSize(text, &ok);
         EXPECT_FALSE(ok) << text;

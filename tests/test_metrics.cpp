@@ -6,6 +6,7 @@
  */
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -269,6 +270,19 @@ TEST(PolicyOptionsDeath, RejectsUnknownAndMalformed)
                 testing::ExitedWithCode(1), "");
     EXPECT_EXIT(core::PolicyOptions::fromString("pip=abc"),
                 testing::ExitedWithCode(1), "");
+    // One grammar with the other specs: every number is width- and
+    // range-checked, and an error names the key.
+    const std::pair<const char *, const char *> cases[] = {
+        {"seed=-1", "'seed'"},     {"k=4294967298", "'k'"},
+        {"gws=-1", "'gws'"},       {"gws=0", "'gws'"},
+        {"ptag=-3", "'ptag'"},     {"pip=2", "'pip'"},
+        {"pip=inf", "'pip'"},      {"pip=nan", "'pip'"},
+        {"pip=0.9,,k=2", "malformed policy option"}};
+    for (const auto &[text, message] : cases) {
+        EXPECT_EXIT(core::PolicyOptions::fromString(text),
+                    testing::ExitedWithCode(1), message)
+            << text;
+    }
 }
 
 TEST(PolicySpec, ParseSplitsNameAndEmbeddedOptions)

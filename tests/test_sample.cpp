@@ -115,6 +115,10 @@ TEST(SampleParamsDeath, RejectsMalformedSpecs)
                 "bad sample value");
     EXPECT_EXIT(params("rate=nan"), ::testing::ExitedWithCode(1),
                 "bad sample parameters");
+    EXPECT_EXIT(params("clusters=4294967298"),
+                ::testing::ExitedWithCode(1), "'clusters'");
+    EXPECT_EXIT(params("window=64,,rate=0.1"),
+                ::testing::ExitedWithCode(1), "malformed");
 }
 
 TEST(SampledSource, PlanIsDeterministic)

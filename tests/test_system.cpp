@@ -153,7 +153,8 @@ TEST(RunnerDeath, OutOfRangeOverridesNameTheKey)
 {
     const std::pair<std::string, std::string> cases[] = {
         {"scale", "0"}, {"scale", "1e30"}, {"cores", "0"},
-        {"mlp", "0"}, {"timed", "-5"}};
+        {"mlp", "0"}, {"timed", "-5"}, {"cores", "4294967297"},
+        {"mlp", "4294967297"}, {"jobs", "4294967297"}};
     for (const auto &[key, value] : cases) {
         Config cli;
         cli.set(key, value);

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the TrafficSource registry and the accord.trace/1
- * binary format (source.hpp, bintrace.hpp).
+ * Unit tests for makeTrafficSource() (the Registry.* suites) and
+ * the accord.trace/1 binary format (source.hpp, bintrace.hpp).
  */
 
 #include <gtest/gtest.h>
@@ -483,7 +483,7 @@ TEST(Registry, DefaultSkipEqualsRepeatedNext)
 
 TEST(Registry, SyntheticMatchesRawGeneratorStack)
 {
-    // The registry-built synthetic source must replay exactly the
+    // The makeTrafficSource() synthetic source must replay exactly the
     // stream of a hand-built WorkloadGen + WritebackMixer (the
     // refactor-equivalence guarantee behind the TrafficSource port).
     const SourceContext ctx = libqContext();
@@ -579,13 +579,19 @@ TEST(RegistryDeath, UnknownNameAndOptionAreFatal)
                 ::testing::ExitedWithCode(1), "bogus");
     EXPECT_EXIT(makeTrafficSource("trace(loop=1)", libqContext()),
                 ::testing::ExitedWithCode(1), "file");
+    EXPECT_EXIT(makeTrafficSource("cyclic(iters=4294967298)",
+                                  libqContext()),
+                ::testing::ExitedWithCode(1), "'iters'");
+    EXPECT_EXIT(makeTrafficSource("synthetic(limit=1,limit=2)",
+                                  libqContext()),
+                ::testing::ExitedWithCode(1), "repeated source option");
 }
 
 TEST(Registry, SyntheticSourceEmitsDemandStreamWithPositions)
 {
-    // The registry path is the only way to build traffic sources now
-    // (the pre-PR-8 AccessGenerator shim is gone): an unbounded
-    // demand stream with monotonically increasing positions.
+    // makeTrafficSource() is the only way to build traffic sources:
+    // an unbounded demand stream with monotonically increasing
+    // positions.
     const auto src = makeTrafficSource("synthetic", libqContext());
     EXPECT_FALSE(src->bounded());
     const Request first = src->next();

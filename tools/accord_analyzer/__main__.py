@@ -3,7 +3,7 @@
 Run as a directory (`python3 tools/accord_analyzer ...`); the package
 directory lands on sys.path so the modules import as plain siblings.
 
-Three rule families over one shared model (model.py -> rules.py):
+Four rule families over one shared model (model.py -> rules.py):
 
   hot-path purity      ACCORD_HOT functions must not allocate, build
                        std::function, create string temporaries, or
@@ -14,13 +14,18 @@ Three rule families over one shared model (model.py -> rules.py):
                        wall-clock/rand/raw-entropy outside rng.hpp
   metric completeness  every registrable *Stats field registered,
                        no duplicate registration paths
+  conventions          path-scoped construct bans: printf in bench/
+                       (printf-metrics), LookupMode dispatch outside
+                       the plan core (lookup-switch), and
+                       std::priority_queue (priority-queue)
 
 Frontends: `portable` (pure Python, canonical, generates the committed
 baseline and gates ctest/CI) and `clang` (libclang via clang.cindex,
 CI-informational; requires python3-clang + libclang on the host).
 
-Scope: hot + metric rules run over src/; determinism rules also cover
-bench/, examples/ and tests/ (minus tests/lint_fixtures/).
+Scope: hot + metric rules run over src/; determinism and convention
+rules also cover bench/, examples/ and tests/ (minus
+tests/lint_fixtures/).
 
 Exit codes: 0 clean vs baseline; 1 new or stale findings (or failing
 self-test); 2 usage/environment error.
@@ -84,7 +89,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="accord_analyzer",
         description="semantic lint: hot-path purity, determinism, "
-                    "metric completeness")
+                    "metric completeness, conventions")
     ap.add_argument("--root", default=".",
                     help="repository root (default: cwd)")
     ap.add_argument("--compile-commands",

@@ -19,11 +19,14 @@ HOT_RULES = ("hot-alloc", "hot-std-function", "hot-string", "hot-virtual",
 DETERMINISM_RULES = ("unordered-iteration", "pointer-key", "wallclock",
                      "rand", "random-device", "std-engine")
 METRIC_RULES = ("metric-unregistered", "metric-duplicate-path")
-ALL_RULES = HOT_RULES + DETERMINISM_RULES + METRIC_RULES
+# Whole-construct bans, each scoped by path in rules.py.
+CONVENTION_RULES = ("printf-metrics", "lookup-switch", "priority-queue")
+ALL_RULES = HOT_RULES + DETERMINISM_RULES + METRIC_RULES + CONVENTION_RULES
 
 # Virtual dispatch on these bases is the sanctioned extension mechanism
-# (the organization/policy registry); everything else on a hot path
-# must be devirtualized or allowed explicitly.
+# (the organization, policy and traffic-source strategy interfaces);
+# everything else on a hot path must be devirtualized or allowed
+# explicitly.
 VIRTUAL_ALLOWLIST = {"OrgStrategy", "OrgServices", "WayPolicy",
                      "TrafficSource"}
 
@@ -49,6 +52,9 @@ OP_RULE = {
     "rand": "rand",
     "random-device": "random-device",
     "std-engine": "std-engine",
+    "printf-metrics": "printf-metrics",
+    "lookup-switch": "lookup-switch",
+    "priority-queue": "priority-queue",
 }
 
 # Ops whose hot-rule findings propagate one level down the call graph

@@ -42,6 +42,9 @@ ENGINE_IDS = {"mt19937", "mt19937_64", "minstd_rand", "minstd_rand0",
               "default_random_engine", "ranlux24", "ranlux48", "knuth_b"}
 SINK_IDS = {"printf", "fprintf", "snprintf", "puts", "fputs", "fwrite",
             "cout", "cerr", "clog"}
+# Direct console output, which bench/ sources must route through
+# report::Reporter (printf-metrics); snprintf into a label is fine.
+PRINTF_IDS = {"printf", "fprintf", "puts", "fputs"}
 STRING_TYPE_IDS = {"string", "stringstream", "ostringstream",
                    "istringstream"}
 SINK_FN_RE = re.compile(
@@ -1072,8 +1075,30 @@ def _first_template_arg_has_pointer(ts, open_idx):
     return False
 
 
+def _is_lookup_switch(ts, j):
+    """`case [ns::]LookupMode::X` or `switch (... lookup ...)` at j."""
+    k = j + 1
+    if ts[j].value == "case":
+        while k + 1 < len(ts) and ts[k].kind == "id" \
+                and ts[k + 1].value == "::":
+            if ts[k].value == "LookupMode":
+                return True
+            k += 2
+        return False
+    depth = 0
+    while k < len(ts):
+        depth += {"(": 1, ")": -1}.get(ts[k].value, 0)
+        if depth <= 0:
+            return False  # no parenthesis, or the condition closed
+        if ts[k].kind == "id" and ts[k].value == "lookup":
+            return True
+        k += 1
+    return False
+
+
 def scan_file_ops(pf):
-    """Flat whole-file determinism scan (covers non-body contexts too).
+    """Flat whole-file determinism and convention scan (covers
+    non-body contexts too).
 
     Returns (file, line, kind, detail, context, suppressed) tuples;
     rules.py applies scope filtering (e.g. the rng.hpp exemption).
@@ -1110,6 +1135,16 @@ def scan_file_ops(pf):
             if _first_template_arg_has_pointer(ts, j + 1):
                 kind = "pointer-key"
                 detail = f"std::{v} keyed by pointer type"
+        elif v == "priority_queue" and prev == "::" and j >= 2 \
+                and ts[j - 2].value == "std" and nxt == "<":
+            kind, detail = "priority-queue", "std::priority_queue"
+        elif v in PRINTF_IDS and nxt == "(" \
+                and prev not in (".", "->") \
+                and (prev != "::" or (j >= 2
+                                      and ts[j - 2].value == "std")):
+            kind, detail = "printf-metrics", f"{v}()"
+        elif v in ("case", "switch") and _is_lookup_switch(ts, j):
+            kind, detail = "lookup-switch", f"{v} on LookupMode"
         if kind is None:
             continue
         suppressed = OP_RULE[kind] in pf.allowed.get(t.line, ())

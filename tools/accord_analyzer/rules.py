@@ -2,8 +2,9 @@
 
 Frontend-independent: both the portable and the libclang frontends
 produce a model.Model, and every rule decision -- hot-path purity with
-one-level propagation, determinism, metric completeness -- lives here
-so the frontends cannot disagree on POLICY, only on extraction.
+one-level propagation, determinism, metric completeness, the
+path-scoped convention bans -- lives here so the frontends cannot
+disagree on POLICY, only on extraction.
 """
 
 from model import (ALWAYS_CHECKED_STRUCTS, Finding, OP_RULE,
@@ -38,6 +39,26 @@ def _is_paged_seam(path):
 
 def _is_telemetry_impl(path):
     return "src/common/telemetry/" in path.replace("\\", "/")
+
+
+# The convention rules are bans on whole constructs, two of them
+# scoped by PATH like the exemptions above:
+#   printf-metrics  bench/ sources print through report::Reporter, so
+#                   the text and the JSON report cannot diverge;
+#   lookup-switch   LookupMode dispatch lives in the access-plan core
+#                   (planLookup) and the enum token table only, so the
+#                   warm and timed paths cannot re-grow per-mode
+#                   branches;
+#   priority-queue  (everywhere) heap order is unstable for equal keys;
+#                   schedule through EventQueue, which keeps same-cycle
+#                   FIFO order.
+def _is_bench_source(path):
+    return "/bench/" in "/" + path.replace("\\", "/")
+
+
+def _is_lookup_dispatch_home(path):
+    return path.replace("\\", "/").endswith(
+        ("src/dramcache/access_plan.cpp", "src/dramcache/enums.cpp"))
 
 
 def evaluate(model, hot_scope=None, det_scope=None, metric_scope=None):
@@ -125,6 +146,10 @@ def _determinism_findings(model, scope):
         if kind in RNG_EXEMPT_RULES and _is_rng_impl(file):
             continue
         if kind in TELEMETRY_EXEMPT_RULES and _is_telemetry_impl(file):
+            continue
+        if kind == "printf-metrics" and not _is_bench_source(file):
+            continue
+        if kind == "lookup-switch" and _is_lookup_dispatch_home(file):
             continue
         findings.append(Finding(OP_RULE[kind], file, ctx, detail, line))
 

@@ -1,7 +1,6 @@
-"""Shared `accord-lint` suppression-comment grammar.
+"""The `accord-lint` suppression-comment grammar of the analyzer.
 
-One annotation syntax serves both the regex lint (tools/lint_determinism.py)
-and the AST analyzer (tools/accord_analyzer):
+One annotation syntax serves every rule of tools/accord_analyzer:
 
     // accord-lint: allow(<rule>[, <rule>...]) <reason>
 
