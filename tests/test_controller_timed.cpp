@@ -198,6 +198,20 @@ TEST(TimedCa, ReadsAndSwapsComplete)
     EXPECT_TRUE(sys.readBlocking(a));   // now a primary hit
 }
 
+TEST(TimedCa, OverlappingSameLineMissesDoNotDuplicate)
+{
+    MiniSystem sys(1, LookupMode::Serial, "", 1ULL << 20,
+                   Organization::ColumnAssoc);
+    int done = 0;
+    // Both reads miss before either fill lands; the second fill must
+    // not relocate the first copy into the pair slot.
+    sys->read(4242, [&](bool, Cycle) { ++done; });
+    sys->read(4242, [&](bool, Cycle) { ++done; });
+    sys.eq.run();
+    EXPECT_EQ(done, 2);
+    EXPECT_EQ(sys->tagStore().occupancy(), 1u);
+}
+
 TEST(TimedDeterminism, SameSeedSameTimeline)
 {
     auto run = [] {
