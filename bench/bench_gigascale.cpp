@@ -38,7 +38,7 @@ namespace
 /**
  * Host bytes a dense backend would commit for this config's per-line
  * state: 8B tag + 1B flags per line, plus 8B LRU stamps per line for
- * the LRU ablation.  Policy/DCP tables are excluded, so the ratio
+ * the LRU ablation.  Policy tables are excluded, so the ratio
  * resident/dense the budget gates on is conservative (the denominator
  * is an underestimate).
  */

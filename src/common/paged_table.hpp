@@ -3,11 +3,11 @@
  * Paged struct-of-arrays storage layer for per-set cache state.
  *
  * Every large per-set structure in the simulator (tag store, MRU
- * table, partial tags, DCP directory, LRU stamps) is a flat array
- * indexed by slot.  At 1/128 bench scale a dense vector is ideal; at
- * full gigascale (4GB cache = 64M lines) eager dense allocation costs
- * gigabytes of host RSS before the first access retires.  This layer
- * makes the representation pluggable:
+ * table, partial tags, LRU stamps) is a flat array indexed by slot.
+ * At 1/128 bench scale a dense vector is ideal; at full gigascale
+ * (4GB cache = 64M lines) eager dense allocation costs gigabytes of
+ * host RSS before the first access retires.  This layer makes the
+ * representation pluggable:
  *
  *  - Dense: one eagerly allocated vector, zero indirection.
  *  - Paged: fixed-size pages materialized on first write; reads of
@@ -31,10 +31,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <optional>
-#include <utility>
 #include <vector>
 
 #include "common/log.hpp"
@@ -240,109 +237,6 @@ template <typename T> class PagedColumn
     std::vector<T> dense_;
     std::vector<std::unique_ptr<T[]>> pages_;
     std::uint64_t resident_pages_ = 0;
-};
-
-/**
- * Sparse paged map from a 64-bit key to a small unsigned value,
- * built for the DCP directory: keys are line addresses (sparse over
- * the whole PCM address space) and values are way ids.  Keys live in
- * fixed-size pages keyed by key/kPageSlots in an ordered map, so
- * iteration order — and therefore entries() — is deterministic by
- * construction, and untouched regions of the key space cost nothing.
- */
-class SparsePagedMap
-{
-  public:
-    static constexpr std::uint64_t kPageSlots = 4096;
-
-    /** Absent-slot sentinel; stored values must stay below it. */
-    static constexpr std::uint8_t kAbsent = 0xff;
-
-    /** Value recorded for `key`, if any. */
-    std::optional<unsigned>
-    lookup(std::uint64_t key) const
-    {
-        const auto it = pages_.find(key / kPageSlots);
-        if (it == pages_.end())
-            return std::nullopt;
-        const std::uint8_t value = it->second[key % kPageSlots];
-        if (value == kAbsent)
-            return std::nullopt;
-        return value;
-    }
-
-    /** Record (or update) the value for `key`. */
-    void
-    record(std::uint64_t key, unsigned value)
-    {
-        ACCORD_ASSERT(value < kAbsent,
-                      "sparse map value %u collides with the absent "
-                      "sentinel",
-                      value);
-        std::uint8_t &slot = ensurePage(key / kPageSlots)
-            [key % kPageSlots];
-        if (slot == kAbsent)
-            ++size_;
-        slot = static_cast<std::uint8_t>(value);
-    }
-
-    /** Drop `key` if present. */
-    void
-    erase(std::uint64_t key)
-    {
-        const auto it = pages_.find(key / kPageSlots);
-        if (it == pages_.end())
-            return;
-        std::uint8_t &slot = it->second[key % kPageSlots];
-        if (slot != kAbsent) {
-            slot = kAbsent;
-            --size_;
-        }
-    }
-
-    /** Recorded keys. */
-    std::uint64_t size() const { return size_; }
-
-    /** All (key, value) entries, ordered by key. */
-    std::vector<std::pair<std::uint64_t, unsigned>>
-    entries() const
-    {
-        std::vector<std::pair<std::uint64_t, unsigned>> out;
-        out.reserve(static_cast<std::size_t>(size_));
-        for (const auto &page : pages_) {
-            const std::uint64_t base = page.first * kPageSlots;
-            for (std::uint64_t i = 0; i < kPageSlots; ++i) {
-                if (page.second[i] != kAbsent)
-                    out.emplace_back(base + i, page.second[i]);
-            }
-        }
-        return out;
-    }
-
-    std::uint64_t residentPages() const { return pages_.size(); }
-
-    std::uint64_t
-    residentBytes() const
-    {
-        return pages_.size() * kPageSlots * sizeof(std::uint8_t);
-    }
-
-  private:
-    /** Materialize and return a page (the allocation seam). */
-    std::uint8_t *
-    ensurePage(std::uint64_t page)
-    {
-        auto &slot = pages_[page];
-        if (!slot) {
-            slot = std::make_unique<std::uint8_t[]>(kPageSlots);
-            for (std::uint64_t i = 0; i < kPageSlots; ++i)
-                slot[i] = kAbsent;
-        }
-        return slot.get();
-    }
-
-    std::map<std::uint64_t, std::unique_ptr<std::uint8_t[]>> pages_;
-    std::uint64_t size_ = 0;
 };
 
 } // namespace accord

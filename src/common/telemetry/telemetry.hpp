@@ -108,8 +108,8 @@ struct HeartbeatSample
     std::uint64_t poolBlockBytes = 0;
 
     /**
-     * Host bytes backing per-set cache state (tag/flag columns, DCP
-     * pages, predictor tables) at this heartbeat.  Deterministic —
+     * Host bytes backing per-set cache state (tag/flag columns,
+     * predictor tables) at this heartbeat.  Deterministic —
      * resident pages are a pure function of the access stream — so it
      * lives with the canonical gauges, not under "host".
      */

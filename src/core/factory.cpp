@@ -34,7 +34,8 @@ applyOptions(PolicyOptions options, const Config &list)
 {
     options.pip = list.getDouble("pip", options.pip, 0.0, 1.0);
     options.swsK = list.getUint32("k", options.swsK, 2);
-    options.gwsEntries = list.getUint32("gws", options.gwsEntries, 1);
+    options.gwsEntries = list.getUint32("gws", options.gwsEntries, 1,
+                                        RegionTable::kMaxEntries);
     options.partialTagBits =
         list.getUint32("ptag", options.partialTagBits, 1, 8);
     options.seed = list.getUint("seed", options.seed);
@@ -73,7 +74,11 @@ makePolicy(const std::string &full_spec, const CacheGeometry &geom,
     GangedParams ganged;
     ganged.ritEntries = options.gwsEntries;
     ganged.rltEntries = options.gwsEntries;
-    ganged.storage = options.storage;
+    if ((spec == "sws" || spec == "sws+gws") && options.swsK > geom.ways) {
+        fatal("bad policy parameters: 'k' = %u exceeds the %u ways of "
+              "'%s'",
+              options.swsK, geom.ways, full_spec.c_str());
+    }
 
     if (spec == "rand")
         return std::make_unique<UnbiasedPolicy>(geom, options.seed);

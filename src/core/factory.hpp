@@ -39,7 +39,7 @@ struct PolicyOptions
     std::uint64_t seed = 42;
 
     /**
-     * Table backend for stateful policies (MRU, partial tags, GWS):
+     * Table backend for the per-set policy tables (MRU, partial tags):
      * an explicit mode forces it, nullopt resolves per table by size.
      * Deliberately NOT part of toString()/fromString() — the backend
      * never changes simulation results, only the host footprint, so
@@ -61,7 +61,8 @@ struct PolicyOptions
      * order ("pip=0.9,seed=3"); unset knobs keep their defaults.
      * Integers take the CLI's k/M/G/T suffixes (common/config.hpp).
      * fatal() on unknown or repeated keys, malformed values, and
-     * values outside pip in [0,1], k >= 2, gws >= 1, ptag in [1,8].
+     * values outside pip in [0,1], k >= 2, gws in [1,65536],
+     * ptag in [1,8].
      */
     static PolicyOptions fromString(const std::string &text);
 };

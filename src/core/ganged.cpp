@@ -1,5 +1,9 @@
 #include "core/ganged.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <utility>
+
 #include "common/bits.hpp"
 #include "common/invariant_auditor.hpp"
 #include "common/log.hpp"
@@ -8,124 +12,197 @@
 namespace accord::core
 {
 
-RegionTable::RegionTable(unsigned entries,
-                         std::optional<StorageMode> storage)
+RegionTable::RegionTable(unsigned entries)
 {
-    ACCORD_ASSERT(entries > 0, "region table needs entries");
-    const StorageMode mode =
-        storage.value_or(autoStorageMode(entries));
-    regions.reset(entries, mode, 0);
-    last_use.reset(entries, mode, 0);
-    ways_.reset(entries, mode, 0);
-    valid_.reset(entries, mode, 0);
+    ACCORD_ASSERT(entries > 0 && entries <= kMaxEntries,
+                  "region table of %u entries outside [1, %u]", entries,
+                  kMaxEntries);
+    // At most half the buckets are ever full, so every probe run ends
+    // at an empty bucket.
+    const std::uint64_t buckets = std::bit_ceil(2ULL * entries);
+    mask_ = static_cast<std::uint32_t>(buckets - 1);
+    shift_ = 64u - floorLog2(buckets);
+    regions_.resize(entries);
+    links_.resize(entries);
+    ways_.resize(entries);
+    index_.assign(static_cast<std::size_t>(buckets), kNone);
 }
 
-int
-RegionTable::find(std::uint64_t region) const
+std::uint32_t
+RegionTable::home(std::uint64_t region) const
 {
-    for (std::uint64_t i = 0; i < regions.size(); ++i) {
-        if (valid_.read(i) && regions.read(i) == region)
-            return static_cast<int>(i);
+    // Fibonacci hashing: the top bits of the product spread
+    // consecutive region ids across the index.
+    return static_cast<std::uint32_t>(
+        (region * 0x9e3779b97f4a7c15ULL) >> shift_);
+}
+
+std::uint32_t
+RegionTable::bucketOf(std::uint64_t region) const
+{
+    std::uint32_t bucket = home(region);
+    while (index_[bucket] != kNone && regions_[index_[bucket]] != region)
+        bucket = (bucket + 1) & mask_;
+    return bucket;
+}
+
+void
+RegionTable::eraseBucket(std::uint32_t bucket)
+{
+    // Backward-shift delete: pull later members of the probe run into
+    // the hole unless their home lies cyclically in (hole, member].
+    std::uint32_t hole = bucket;
+    for (std::uint32_t next = (hole + 1) & mask_; index_[next] != kNone;
+         next = (next + 1) & mask_) {
+        const std::uint32_t want = home(regions_[index_[next]]);
+        if (((next - want) & mask_) >= ((next - hole) & mask_)) {
+            index_[hole] = index_[next];
+            hole = next;
+        }
     }
-    return -1;
+    index_[hole] = kNone;
+}
+
+void
+RegionTable::unlink(std::uint32_t slot)
+{
+    const Link link = links_[slot];
+    if (link.prev != kNone)
+        links_[link.prev].next = link.next;
+    else
+        head_ = link.next;
+    if (link.next != kNone)
+        links_[link.next].prev = link.prev;
+    else
+        tail_ = link.prev;
+}
+
+void
+RegionTable::pushFront(std::uint32_t slot)
+{
+    links_[slot] = {kNone, head_};
+    if (head_ != kNone)
+        links_[head_].prev = slot;
+    else
+        tail_ = slot;
+    head_ = slot;
 }
 
 std::optional<unsigned>
 RegionTable::lookup(std::uint64_t region)
 {
-    const int slot = find(region);
-    if (slot < 0)
+    const std::uint32_t slot = index_[bucketOf(region)];
+    if (slot == kNone)
         return std::nullopt;
-    last_use.write(static_cast<std::uint64_t>(slot), ++use_clock);
-    return ways_.read(static_cast<std::uint64_t>(slot));
+    if (slot != head_) {
+        unlink(slot);
+        pushFront(slot);
+    }
+    return ways_[slot];
 }
 
 void
 RegionTable::insert(std::uint64_t region, unsigned way)
 {
-    const int hit = find(region);
-    if (hit >= 0) {
-        const auto slot = static_cast<std::uint64_t>(hit);
-        ways_.write(slot, static_cast<std::uint8_t>(way));
-        last_use.write(slot, ++use_clock);
-        return;
-    }
-    std::uint64_t victim = 0;
-    for (std::uint64_t i = 0; i < regions.size(); ++i) {
-        if (!valid_.read(i)) {
-            victim = i;
-            break;
+    std::uint32_t bucket = bucketOf(region);
+    std::uint32_t slot = index_[bucket];
+    if (slot == kNone) {
+        if (live_ < regions_.size()) {
+            slot = live_++;
+        } else {
+            // Full: the least recently used slot takes the region.
+            slot = tail_;
+            unlink(slot);
+            eraseBucket(bucketOf(regions_[slot]));
+            bucket = bucketOf(region);
         }
-        if (last_use.read(i) < last_use.read(victim))
-            victim = i;
+        regions_[slot] = region;
+        index_[bucket] = slot;
+        pushFront(slot);
+    } else if (slot != head_) {
+        unlink(slot);
+        pushFront(slot);
     }
-    valid_.write(victim, 1);
-    regions.write(victim, region);
-    ways_.write(victim, static_cast<std::uint8_t>(way));
-    last_use.write(victim, ++use_clock);
-}
-
-void
-RegionTable::invalidate(std::uint64_t region)
-{
-    const int slot = find(region);
-    if (slot >= 0)
-        valid_.write(static_cast<std::uint64_t>(slot), 0);
-}
-
-unsigned
-RegionTable::occupancy() const
-{
-    unsigned count = 0;
-    for (std::uint64_t i = 0; i < regions.size(); ++i)
-        count += valid_.read(i) ? 1 : 0;
-    return count;
+    ways_[slot] = static_cast<std::uint8_t>(way);
 }
 
 std::uint64_t
 RegionTable::residentStateBytes() const
 {
-    return regions.residentBytes() + last_use.residentBytes()
-        + ways_.residentBytes() + valid_.residentBytes();
+    return regions_.size()
+        * (sizeof(std::uint64_t) + sizeof(Link) + sizeof(std::uint8_t))
+        + index_.size() * sizeof(std::uint32_t);
 }
 
 void
 RegionTable::audit(InvariantAuditor &auditor, const char *label,
                    unsigned maxWays, unsigned maxEntries) const
 {
-    if (regions.size() > maxEntries) {
+    if (regions_.size() > maxEntries) {
         auditor.fail("gws-table-bound",
                      "%s holds %llu slots, configured bound is %u",
                      label,
-                     static_cast<unsigned long long>(regions.size()),
+                     static_cast<unsigned long long>(regions_.size()),
                      maxEntries);
     }
-    for (std::uint64_t i = 0; i < regions.size(); ++i) {
-        if (!valid_.at(i))
-            continue;
-        if (ways_.at(i) >= maxWays) {
+
+    // Recency list: walking from the MRU end must visit every live
+    // slot exactly once, with each prev link naming its predecessor.
+    std::vector<bool> seen(live_, false);
+    std::uint32_t count = 0;
+    std::uint32_t prev = kNone;
+    for (std::uint32_t slot = head_; slot != kNone;
+         slot = links_[slot].next) {
+        if (slot >= live_ || seen[slot] || links_[slot].prev != prev) {
+            auditor.fail("gws-lru-list",
+                         "%s slot %u: bad recency link (after slot %u, "
+                         "%u live)",
+                         label, slot, prev, live_);
+            return;
+        }
+        seen[slot] = true;
+        ++count;
+        prev = slot;
+    }
+    if (count != live_ || tail_ != prev) {
+        auditor.fail("gws-lru-list",
+                     "%s recency list links %u of %u live slots",
+                     label, count, live_);
+    }
+
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> regions;
+    for (std::uint32_t slot = 0; slot < live_; ++slot) {
+        if (ways_[slot] >= maxWays) {
             auditor.fail("gws-way-range",
-                         "%s slot %llu: way %u out of range (ways=%u)",
-                         label, static_cast<unsigned long long>(i),
-                         ways_.at(i), maxWays);
+                         "%s slot %u: way %u out of range (ways=%u)",
+                         label, slot, ways_[slot], maxWays);
         }
-        if (last_use.at(i) > use_clock) {
-            auditor.fail("gws-lru-clock",
-                         "%s slot %llu: stamp %llu ahead of clock %llu",
-                         label, static_cast<unsigned long long>(i),
-                         static_cast<unsigned long long>(last_use.at(i)),
-                         static_cast<unsigned long long>(use_clock));
+        if (index_[bucketOf(regions_[slot])] != slot) {
+            auditor.fail("gws-index",
+                         "%s slot %u: region %llx not indexed to it",
+                         label, slot,
+                         static_cast<unsigned long long>(regions_[slot]));
         }
-        for (std::uint64_t j = i + 1; j < regions.size(); ++j) {
-            if (valid_.at(j) && regions.at(j) == regions.at(i)) {
-                auditor.fail("gws-dup-region",
-                             "%s slots %llu and %llu both map region "
-                             "%llx",
-                             label, static_cast<unsigned long long>(i),
-                             static_cast<unsigned long long>(j),
-                             static_cast<unsigned long long>(
-                                 regions.at(i)));
-            }
+        regions.emplace_back(regions_[slot], slot);
+    }
+    std::uint32_t indexed = 0;
+    for (const std::uint32_t slot : index_)
+        indexed += slot != kNone ? 1 : 0;
+    if (indexed != live_) {
+        auditor.fail("gws-index",
+                     "%s index holds %u entries for %u live slots",
+                     label, indexed, live_);
+    }
+
+    std::sort(regions.begin(), regions.end());
+    for (std::size_t i = 1; i < regions.size(); ++i) {
+        if (regions[i].first == regions[i - 1].first) {
+            auditor.fail("gws-dup-region",
+                         "%s slots %u and %u both map region %llx",
+                         label, regions[i - 1].second,
+                         regions[i].second,
+                         static_cast<unsigned long long>(
+                             regions[i].first));
         }
     }
 }
@@ -133,8 +210,7 @@ RegionTable::audit(InvariantAuditor &auditor, const char *label,
 GangedPolicy::GangedPolicy(std::unique_ptr<WayPolicy> base,
                            const GangedParams &params)
     : WayPolicy(base->geometry()), base_(std::move(base)), params(params),
-      rit(params.ritEntries, params.storage),
-      rlt(params.rltEntries, params.storage)
+      rit(params.ritEntries), rlt(params.rltEntries)
 {
     // Lines of one 4KB region must share their tag so the ganged way is
     // always inside the base policy's candidate set; this holds as long

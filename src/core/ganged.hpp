@@ -19,27 +19,32 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <vector>
 
-#include "common/paged_table.hpp"
 #include "core/way_policy.hpp"
 
 namespace accord::core
 {
 
 /**
- * Small fully-associative LRU table mapping region id -> way.
+ * Small fully-associative exact-LRU table mapping region id -> way.
  *
- * Models the paper's RIT and RLT; entries() is small (64) so a linear
- * scan is both faithful to the hardware and fast.  Slot state lives
- * in struct-of-arrays columns on the shared storage layer; at these
- * sizes autoStorageMode() always picks the dense backend.
+ * Models the paper's RIT and RLT.  Hardware scans its 64 entries in
+ * parallel; here an open-addressed index (linear probing, load <= 1/2,
+ * backward-shift delete) finds a region's slot and an intrusive
+ * doubly linked recency list orders the slots, so lookup, insert and
+ * LRU eviction are O(1) at any table size.  Slot positions are not
+ * observable: callers see only which regions are tracked and the
+ * eviction order.  The four arrays are sized at construction;
+ * lookup() and insert() never allocate.
  */
 class RegionTable
 {
   public:
-    explicit RegionTable(unsigned entries,
-                         std::optional<StorageMode> storage
-                         = std::nullopt);
+    /** Largest table the index's 32-bit slot ids support. */
+    static constexpr unsigned kMaxEntries = 1u << 16;
+
+    explicit RegionTable(unsigned entries);
 
     /** Way recorded for the region, if tracked; refreshes LRU. */
     std::optional<unsigned> lookup(std::uint64_t region);
@@ -47,37 +52,60 @@ class RegionTable
     /** Record (or update) the way for a region, evicting LRU. */
     void insert(std::uint64_t region, unsigned way);
 
-    /** Drop a region's entry if present. */
-    void invalidate(std::uint64_t region);
-
     unsigned entries() const
-        { return static_cast<unsigned>(regions.size()); }
+        { return static_cast<unsigned>(regions_.size()); }
 
     /** Valid entries (for tests). */
-    unsigned occupancy() const;
+    unsigned occupancy() const { return live_; }
 
     /**
      * Record table-consistency violations: capacity above the
-     * configured bound, stored ways >= maxWays, duplicate regions, or
-     * LRU stamps ahead of the use clock.  `label` distinguishes RIT
-     * from RLT in the report.
+     * configured bound, stored ways >= maxWays, duplicate regions, a
+     * recency list that does not link every live slot exactly once,
+     * or an index that disagrees with the slots.  `label`
+     * distinguishes RIT from RLT in the report.
      */
     void audit(InvariantAuditor &auditor, const char *label,
                unsigned maxWays, unsigned maxEntries) const;
 
-    /** Host bytes currently backing the table's columns. */
+    /** Host bytes backing the slots and the index. */
     std::uint64_t residentStateBytes() const;
 
   private:
-    /** Slot index holding `region`, or -1. */
-    int find(std::uint64_t region) const;
+    friend struct RegionTablePeer; // corrupts state in audit tests
 
-    // Struct-of-arrays slot state (shared storage layer).
-    PagedColumn<std::uint64_t> regions;
-    PagedColumn<std::uint64_t> last_use;
-    PagedColumn<std::uint8_t> ways_;
-    PagedColumn<std::uint8_t> valid_;
-    std::uint64_t use_clock = 0;
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+    /** A slot's neighbours in the recency list, or kNone. */
+    struct Link
+    {
+        std::uint32_t prev = kNone; ///< toward the MRU end
+        std::uint32_t next = kNone; ///< toward the LRU end
+    };
+
+    /** Home bucket of a region in the index. */
+    std::uint32_t home(std::uint64_t region) const;
+
+    /** Bucket holding `region`'s slot, or the empty bucket ending
+     *  its probe run. */
+    std::uint32_t bucketOf(std::uint64_t region) const;
+
+    /** Empty a bucket, shifting its probe run back over the hole. */
+    void eraseBucket(std::uint32_t bucket);
+
+    void unlink(std::uint32_t slot);
+    void pushFront(std::uint32_t slot);
+
+    // Slot state, one entry per slot; slots [0, live_) are in use.
+    std::vector<std::uint64_t> regions_;
+    std::vector<Link> links_;
+    std::vector<std::uint8_t> ways_;
+    std::vector<std::uint32_t> index_; ///< bucket -> slot, or kNone
+    std::uint32_t mask_ = 0;
+    unsigned shift_ = 0;
+    std::uint32_t live_ = 0;
+    std::uint32_t head_ = kNone; ///< most recently used
+    std::uint32_t tail_ = kNone; ///< least recently used
 };
 
 /** Configuration for GWS tables. */
@@ -88,9 +116,6 @@ struct GangedParams
 
     /** Region tag bits assumed for the storage estimate (paper: 19). */
     unsigned regionTagBits = 19;
-
-    /** Table backend; nullopt resolves per table by size. */
-    std::optional<StorageMode> storage;
 };
 
 /** Ganged Way-Steering decorator over a base policy. */

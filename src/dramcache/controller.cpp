@@ -81,8 +81,8 @@ DramCacheController::DramCacheController(
     // its probe sequences in kMaxWays steps.
     ACCORD_ASSERT(geom.ways >= 1 && geom.ways <= kMaxWays,
                   "organization geometry exceeds the plan-core bound");
-    org_ = makeOrganization(OrgContext{this->params, geom, tags, dcp,
-                                       stats_, policy_.get(), *this});
+    org_ = makeOrganization(OrgContext{this->params, geom, tags, stats_,
+                                       policy_.get(), *this});
     setassoc_ = params.org == Organization::SetAssoc
         ? static_cast<SetAssocOrg *>(org_.get())
         : nullptr;
@@ -276,15 +276,9 @@ DramCacheController::writebackCommon(LineAddr line, bool timed,
 
     DcpTarget target;
     if (params.dcpWayBits) {
-        const auto dcp_way = dcp.lookup(line);
-        if (dcp_way) {
-            target = org_->dcpTarget(line, *dcp_way);
-            // A stale entry (the line moved between the fill that set
-            // the L3's way bits and this writeback) falls back to the
-            // memory path, like a lost presence bit would.
-            if (!target.present)
-                stats_.dcpStaleWritebacks.inc();
-        }
+        // DCP way bits record exactly where the L4 holds the line, so
+        // the tag store answers without a probe.
+        target = org_->dcpTarget(line);
     } else {
         // No DCP way bits: a probe sequence locates the line (or
         // confirms absence) before the write can be routed.

@@ -35,7 +35,6 @@
 #include "common/trace_event/trace_event.hpp"
 #include "core/way_policy.hpp"
 #include "dram/dram_system.hpp"
-#include "dramcache/dcp.hpp"
 #include "dramcache/enums.hpp"
 #include "dramcache/layout.hpp"
 #include "dramcache/organization.hpp"
@@ -149,15 +148,14 @@ class DramCacheController : private OrgServices
 
     /**
      * Host bytes currently backing per-set cache state: the tag/flag
-     * columns, the DCP directory pages, and (when attached) the way
-     * policy's own tables.  Feeds the resident-state telemetry gauge
-     * and the gigascale footprint budget.
+     * columns, organization-private state, and (when attached) the
+     * way policy's own tables.  Feeds the resident-state telemetry
+     * gauge and the gigascale footprint budget.
      */
     std::uint64_t
     residentStateBytes() const
     {
-        return tags.residentStateBytes() + dcp.residentBytes()
-            + org_->residentStateBytes()
+        return tags.residentStateBytes() + org_->residentStateBytes()
             + (policy_ ? policy_->residentStateBytes() : 0);
     }
 
@@ -170,9 +168,9 @@ class DramCacheController : private OrgServices
     /**
      * Record every violated model-state invariant into the auditor:
      * tag-store consistency, organization-specific placement rules,
-     * DCP coherence, policy-internal tables, and (when quiesced)
-     * stats identities.  Always available; the periodic self-audit
-     * driven by DramCacheParams::auditInterval calls this under
+     * policy-internal tables, and (when quiesced) stats identities.
+     * Always available; the periodic self-audit driven by
+     * DramCacheParams::auditInterval calls this under
      * ACCORD_CHECKS_ENABLED and panics on any violation.
      */
     void audit(InvariantAuditor &auditor) const;
@@ -181,9 +179,7 @@ class DramCacheController : private OrgServices
      * audit() restricted to sets [firstSet, lastSet), plus the cheap
      * global checks (policy tables when the window wraps to 0, stats
      * identities when quiesced).  Cost is bounded by the window, not
-     * the cache — the periodic self-audit rotates this window.  The
-     * only check it lacks relative to a full audit() is detection of
-     * stale DCP entries for lines no longer resident anywhere.
+     * the cache — the periodic self-audit rotates this window.
      */
     void auditWindow(InvariantAuditor &auditor, std::uint64_t firstSet,
                      std::uint64_t lastSet) const;
@@ -230,7 +226,6 @@ class DramCacheController : private OrgServices
     dram::DramSystem hbm_;
     CacheLayout layout;
     TagStore tags;
-    DcpDirectory dcp;
     DramCacheStats stats_;
 
     /** Snapshot taken by beginStatsExclusion(). */

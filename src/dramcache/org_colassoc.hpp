@@ -27,14 +27,12 @@ class ColAssocOrg final : public OrgStrategy
 
     AccessPlan planRead(LineAddr line) override;
     AccessPlan planDemandLocate(LineAddr line) override;
-    void onReadHit(const HitContext &hit) override;
     void afterReadHit(const HitContext &hit) override;
     void installAfterMiss(LineAddr line, bool timed,
                           trace_event::TxnId parent) override;
-    DcpTarget dcpTarget(LineAddr line, unsigned selector) const override;
+    DcpTarget dcpTarget(LineAddr line) const override;
     void auditRange(InvariantAuditor &auditor, std::uint64_t firstSlot,
                     std::uint64_t lastSlot) const override;
-    void auditFull(InvariantAuditor &auditor) const override;
     std::string describe() const override;
 
     /** Array geometry: one line per slot, ways forced to 1. */
@@ -45,7 +43,7 @@ class ColAssocOrg final : public OrgStrategy
     std::uint64_t pairSlot(std::uint64_t slot) const;
     bool slotHolds(std::uint64_t slot, LineAddr line) const;
 
-    /** Swap the two slots' contents and re-record their DCP entries. */
+    /** Swap the two slots' contents. */
     void swapSlots(std::uint64_t primary, std::uint64_t secondary);
 
     std::uint64_t ca_pair_mask = 0;

@@ -74,7 +74,6 @@ SetAssocOrg::onReadHit(const HitContext &hit)
     if (ctx_.policy)
         ctx_.policy->onHit(ref, hit.way);
     touchReplacement(ref, hit.way, hit.timed, hit.trace);
-    ctx_.dcp.record(hit.line, hit.way);
 }
 
 ACCORD_HOT void
@@ -135,10 +134,8 @@ SetAssocOrg::installLine(const core::LineRef &ref)
     // region, or a re-reference inside the MLP window) can both reach
     // the fill path; the second fill must not create a duplicate copy.
     if (const int existing = ctx_.tags.findWay(ref.set, ref.tag);
-        existing >= 0) {
-        ctx_.dcp.record(ref.line, static_cast<unsigned>(existing));
+        existing >= 0)
         return {static_cast<unsigned>(existing), false, 0};
-    }
 
     const unsigned way = ctx_.policy ? ctx_.policy->install(ref)
                                      : unsteeredVictim(ref);
@@ -158,19 +155,13 @@ SetAssocOrg::installLine(const core::LineRef &ref)
         ctx_.policy->onInstall(ref, way);
 
     ctx_.stats.cacheWriteTransfers.inc();   // the fill write
-    ctx_.dcp.record(ref.line, way);
 
     InstallResult result;
     result.way = way;
-    if (victim.valid) {
-        const LineAddr victim_line =
-            (victim.tag << ctx_.geom.setBits()) | ref.set;
-        ctx_.dcp.erase(victim_line);
-        if (victim.dirty) {
-            ctx_.stats.nvmWrites.inc();
-            result.victimDirty = true;
-            result.victimLine = victim_line;
-        }
+    if (victim.valid && victim.dirty) {
+        ctx_.stats.nvmWrites.inc();
+        result.victimDirty = true;
+        result.victimLine = (victim.tag << ctx_.geom.setBits()) | ref.set;
     }
     return result;
 }
@@ -194,15 +185,15 @@ SetAssocOrg::installAfterMiss(LineAddr line, bool timed,
         ctx_.services.nvmWrite(fill.victimLine, member(), fill_txn);
 }
 
-DcpTarget
-SetAssocOrg::dcpTarget(LineAddr line, unsigned selector) const
+ACCORD_HOT DcpTarget
+SetAssocOrg::dcpTarget(LineAddr line) const
 {
     const auto ref = core::LineRef::make(line, ctx_.geom);
+    const int way = ctx_.tags.findWay(ref.set, ref.tag);
     DcpTarget target;
     target.set = ref.set;
-    target.way = selector;
-    target.present = ctx_.tags.valid(ref.set, selector)
-        && ctx_.tags.tag(ref.set, selector) == ref.tag;
+    target.way = way >= 0 ? static_cast<unsigned>(way) : 0;
+    target.present = way >= 0;
     return target;
 }
 
@@ -219,7 +210,6 @@ SetAssocOrg::auditRange(InvariantAuditor &auditor,
         if (firstSet == 0)
             ctx_.policy->audit(auditor);
     }
-    auditDcpForward(ctx_.dcp, ctx_.tags, auditor, firstSet, lastSet);
 }
 
 void
@@ -229,7 +219,6 @@ SetAssocOrg::auditFull(InvariantAuditor &auditor) const
         auditPlacement(ctx_.tags, *ctx_.policy, auditor);
         ctx_.policy->audit(auditor);
     }
-    auditDcp(ctx_.dcp, ctx_.tags, auditor);
 }
 
 std::uint64_t

@@ -36,7 +36,7 @@ class SetAssocOrg final : public OrgStrategy
     void onReadMiss(const core::LineRef &ref) override;
     void installAfterMiss(LineAddr line, bool timed,
                           trace_event::TxnId parent) override;
-    DcpTarget dcpTarget(LineAddr line, unsigned selector) const override;
+    DcpTarget dcpTarget(LineAddr line) const override;
     void auditRange(InvariantAuditor &auditor, std::uint64_t firstSet,
                     std::uint64_t lastSet) const override;
     void auditFull(InvariantAuditor &auditor) const override;
@@ -55,7 +55,7 @@ class SetAssocOrg final : public OrgStrategy
         LineAddr victimLine = 0;
     };
 
-    /** Shared install bookkeeping (tag store, policy, DCP, counters). */
+    /** Shared install bookkeeping (tag store, policy, counters). */
     InstallResult installLine(const core::LineRef &ref);
 
     /** Victim way for an unsteered install (random or LRU). */

@@ -4,9 +4,9 @@
  *
  * An Organization decides WHERE lines live and WHAT state changes on
  * each outcome: probe placement (via the access-plan core), hit
- * bookkeeping (policy feedback, replacement state, DCP updates),
- * install/eviction, and writeback routing.  The controller keeps the
- * WHEN: event scheduling, device issue, tracing, and latency stats.
+ * bookkeeping (policy feedback, replacement state), install/eviction,
+ * and writeback routing.  The controller keeps the WHEN: event
+ * scheduling, device issue, tracing, and latency stats.
  *
  * The concrete strategies (set-associative, column-associative) are
  * chosen by switches on DramCacheParams::org in organization.cpp
@@ -27,7 +27,6 @@
 #include "core/way_policy.hpp"
 #include "dram/mem_op.hpp"
 #include "dramcache/access_plan.hpp"
-#include "dramcache/dcp.hpp"
 #include "dramcache/params.hpp"
 #include "dramcache/tag_store.hpp"
 
@@ -76,7 +75,6 @@ struct OrgContext
     const DramCacheParams &params;
     const core::CacheGeometry &geom;
     TagStore &tags;
-    DcpDirectory &dcp;
     DramCacheStats &stats;
     core::WayPolicy *policy;
     OrgServices &services;
@@ -93,7 +91,7 @@ struct HitContext
     trace_event::TxnId trace = trace_event::kNoTxn;
 };
 
-/** Where a DCP entry routes a writeback. */
+/** Where DCP way bits route a writeback: the slot holding the line. */
 struct DcpTarget
 {
     std::uint64_t set = 0;
@@ -121,10 +119,10 @@ class OrgStrategy
     virtual AccessPlan planDemandLocate(LineAddr line) = 0;
 
     /**
-     * A read hit resolved: update policy feedback, replacement state,
-     * and the DCP.  Runs before the engine completes the transaction.
+     * A read hit resolved: update policy feedback and replacement
+     * state.  Runs before the engine completes the transaction.
      */
-    virtual void onReadHit(const HitContext &hit) = 0;
+    virtual void onReadHit(const HitContext &hit) { (void)hit; }
 
     /**
      * Post-completion hit work off the critical path (the CA-cache
@@ -136,7 +134,7 @@ class OrgStrategy
     virtual void onReadMiss(const core::LineRef &ref) { (void)ref; }
 
     /**
-     * Install `line` after a confirmed miss: functional tag/DCP/stat
+     * Install `line` after a confirmed miss: functional tag/stat
      * updates always; array writes and victim writebacks mirrored on
      * the devices when `timed`.
      */
@@ -144,9 +142,12 @@ class OrgStrategy
                                   trace_event::TxnId parent)
         = 0;
 
-    /** Resolve a DCP entry's way/slot selector for writeback routing. */
-    virtual DcpTarget dcpTarget(LineAddr line, unsigned selector) const
-        = 0;
+    /**
+     * The slot holding `line`, read from the tag store.  DCP way bits
+     * only ever record where the L4 holds a line, so writeback routing
+     * needs no copy of them.
+     */
+    virtual DcpTarget dcpTarget(LineAddr line) const = 0;
 
     /**
      * Organization-specific invariants over sets [firstSet, lastSet)

@@ -80,7 +80,11 @@ struct DramCacheStats
     /** Probe transfers spent locating writeback targets (no-DCP mode). */
     Counter writebackProbeTransfers;
 
-    /** Writebacks whose DCP way bits were stale (rare races). */
+    /**
+     * Writebacks whose DCP way bits were stale.  Routing reads the tag
+     * store, so this stays 0; it is kept registered (l4.wb.dcp_stale)
+     * so committed reports keep their shape.
+     */
     Counter dcpStaleWritebacks;
 
     /** CA-cache swap operations. */

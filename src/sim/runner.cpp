@@ -158,8 +158,17 @@ namedConfig(const std::string &workload,
         || way_pos == 0 || dash < way_pos)
         fatal("bad config name '%s'", config_name.c_str());
 
-    config.ways = static_cast<unsigned>(
-        std::stoul(config_name.substr(0, way_pos)));
+    const std::string ways = config_name.substr(0, way_pos);
+    bool ok = false;
+    const std::uint64_t way_count =
+        ways.find_first_not_of("0123456789") == std::string::npos
+        ? parseSize(ways, &ok)
+        : 0;
+    if (!ok || way_count == 0 || way_count > UINT32_MAX)
+        fatal("bad config name '%s' (way count '%s' is not a positive "
+              "32-bit number)",
+              config_name.c_str(), ways.c_str());
+    config.ways = static_cast<unsigned>(way_count);
     const std::string tail = config_name.substr(dash + 1);
 
     if (tail == "lru") {

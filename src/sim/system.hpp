@@ -57,7 +57,7 @@ struct SystemConfig
 
     /**
      * Backend for per-set cache state (tag store, predictor tables,
-     * DCP, LRU stamps): dense vectors, lazily-materialized pages, or
+     * LRU stamps): dense vectors, lazily-materialized pages, or
      * auto (per table by size).  Never changes simulation results —
      * only host memory footprint — so the canonical spec carries it
      * only when forced off Auto.
@@ -225,8 +225,8 @@ struct SystemMetrics
     std::uint64_t policyStorageBits = 0;
 
     /**
-     * Host bytes backing per-set cache state (tag/flag columns, DCP
-     * pages, predictor tables) at the end of the run.  Host-side
+     * Host bytes backing per-set cache state (tag/flag columns,
+     * predictor tables) at the end of the run.  Host-side
      * footprint gauge for the gigascale RSS budget — deliberately NOT
      * a registry metric (it varies with the state backend while
      * simulation results do not), so canonical run reports keep their

@@ -195,7 +195,7 @@ TEST(AccessPlanEquivalence, WarmAndTimedAgreeOnEveryCombo)
         EXPECT_EQ(w.probeSamples, t.probeSamples);
 
         // Both replays must also leave a coherent model: no tag-store,
-        // placement, DCP, or stats-identity violations.
+        // placement, layout, or stats-identity violations.
         InvariantAuditor wa;
         warm->audit(wa);
         EXPECT_TRUE(wa.clean()) << wa.report();

@@ -75,4 +75,9 @@ TEST(FactoryDeath, UnknownSpecIsFatal)
 {
     EXPECT_EXIT(makePolicy("voodoo", geom(2)),
                 ::testing::ExitedWithCode(1), "unknown way policy");
+    // An SWS alternate count above the way count names the key.
+    EXPECT_EXIT(makePolicy("sws(k=4)", geom(2)),
+                ::testing::ExitedWithCode(1), "'k'");
+    EXPECT_EXIT(makePolicy("sws+gws(k=16)", geom(8)),
+                ::testing::ExitedWithCode(1), "'k'");
 }

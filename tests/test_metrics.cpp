@@ -275,6 +275,7 @@ TEST(PolicyOptionsDeath, RejectsUnknownAndMalformed)
     const std::pair<const char *, const char *> cases[] = {
         {"seed=-1", "'seed'"},     {"k=4294967298", "'k'"},
         {"gws=-1", "'gws'"},       {"gws=0", "'gws'"},
+        {"gws=65537", "'gws'"},    {"gws=4294967295", "'gws'"},
         {"ptag=-3", "'ptag'"},     {"pip=2", "'pip'"},
         {"pip=inf", "'pip'"},      {"pip=nan", "'pip'"},
         {"pip=0.9,,k=2", "malformed policy option"}};

@@ -132,6 +132,14 @@ TEST(RunnerDeath, BadConfigNameFatal)
 {
     EXPECT_EXIT(namedConfig("libq", "bogus"),
                 ::testing::ExitedWithCode(1), "bad config name");
+    // The way count must be a number that fits its field.
+    for (const char *name : {"xway-pws", "2kway-pws", "4294967298way-pws",
+                             "99999999999999999999way-pws"}) {
+        EXPECT_EXIT(namedConfig("libq", name),
+                    ::testing::ExitedWithCode(1),
+                    std::string("bad config name '") + name + "'")
+            << name;
+    }
 }
 
 TEST(Runner, CliOverridesApply)

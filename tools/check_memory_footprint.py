@@ -6,7 +6,7 @@ full-scale 4GB/128GB-PCM point with the paged state backend and
 streams accord.telemetry/1 heartbeats.  Each stream carries:
 
   state_bytes   canonical gauge: host bytes backing per-set cache
-                state (tag/flag columns, DCP pages, predictor tables)
+                state (tag/flag columns, predictor tables)
   host.peak_rss_kb
                 volatile: process peak RSS at the heartbeat
 
