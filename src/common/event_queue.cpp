@@ -158,9 +158,11 @@ EventQueue::step()
     --bucketed_;
     ++executed_;
 
-    EventCallback callback = std::move(node->cb);
+    // The node is off its bucket and off the freelist while its
+    // callback runs, so events the callback schedules cannot reuse it.
+    node->cb();
+    node->cb.reset();
     freeNode(node);
-    callback();
     return true;
 }
 

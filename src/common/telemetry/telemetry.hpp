@@ -103,7 +103,10 @@ struct HeartbeatSample
     std::uint64_t eqOccupancyPeak = 0;
     std::uint64_t eqOverflowSpills = 0;
 
-    /** Transaction BlockPool arena usage. */
+    /**
+     * Controller transaction store: reads holding a transaction, and
+     * bytes per transaction (0 before the first timed read).
+     */
     std::uint64_t poolLive = 0;
     std::uint64_t poolBlockBytes = 0;
 

@@ -48,7 +48,7 @@ Channel::ensureKick(Cycle when)
 }
 
 ACCORD_HOT std::size_t
-Channel::pick(const std::deque<MemOp> &queue) const
+Channel::pick(const std::vector<MemOp> &queue) const
 {
     // Transaction continuations first, then the oldest row-buffer hit,
     // then plain FCFS.
@@ -65,7 +65,7 @@ Channel::pick(const std::deque<MemOp> &queue) const
 }
 
 ACCORD_HOT void
-Channel::issue(std::deque<MemOp> &queue, std::size_t index)
+Channel::issue(std::vector<MemOp> &queue, std::size_t index)
 {
     MemOp op = std::move(queue[index]);
     queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(index));

@@ -12,7 +12,6 @@
 #define ACCORD_DRAM_CHANNEL_HPP
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -103,18 +102,21 @@ class Channel
      * in the same row — must not wait behind closed-row requests),
      * else the oldest request.  Returns queue index.
      */
-    std::size_t pick(const std::deque<MemOp> &queue) const;
+    std::size_t pick(const std::vector<MemOp> &queue) const;
 
-    /** Issue one op picked from the given queue. */
-    void issue(std::deque<MemOp> &queue, std::size_t index);
+    /**
+     * Issue one op picked from the given queue; the ops behind it
+     * shift forward, so queue order stays arrival order.
+     */
+    void issue(std::vector<MemOp> &queue, std::size_t index);
 
     const unsigned id_;
     const TimingParams &params;
     EventQueue &eq;
 
     std::vector<Bank> banks;
-    std::deque<MemOp> read_queue;
-    std::deque<MemOp> write_queue;
+    std::vector<MemOp> read_queue;
+    std::vector<MemOp> write_queue;
 
     /** Data bus next-free time. */
     Cycle bus_free_at = 0;

@@ -13,8 +13,8 @@
 #define ACCORD_DRAM_MEM_OP_HPP
 
 #include <cstdint>
-#include <functional>
 
+#include "common/event_queue.hpp"
 #include "common/types.hpp"
 
 namespace accord::dram
@@ -35,8 +35,12 @@ struct PhysLoc
     }
 };
 
-/** Completion callback: invoked with the cycle the data finished. */
-using MemCallback = std::function<void(Cycle done)>;
+/**
+ * Completion callback: invoked with the cycle the data finished.  The
+ * timed engine's captures (the controller plus a transaction pointer
+ * and a probe index) fit inline.
+ */
+using MemCallback = InlineFunction<void(Cycle done), 24>;
 
 /** One line-sized read or write request to a banked memory device. */
 struct MemOp
@@ -57,7 +61,7 @@ struct MemOp
 
     /**
      * Owning transaction for trace attribution (trace_event::TxnId);
-     * 0 = untraced.  Raw integer so this header stays dependency-free.
+     * 0 = untraced.  Raw integer so this header needs no tracer types.
      */
     std::uint64_t txn = 0;
 

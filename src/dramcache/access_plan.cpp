@@ -90,13 +90,13 @@ resolve(const AccessPlan &plan, const TagStore &tags)
     return loc;
 }
 
-AccessPlan
+void
 planLookup(const core::LineRef &ref, core::WayPolicy *policy,
-           const core::CacheGeometry &geom, LookupMode mode)
+           const core::CacheGeometry &geom, LookupMode mode,
+           AccessPlan &plan)
 {
     ACCORD_ASSERT(geom.ways <= kMaxWays,
                   "geometry exceeds the plan-core way bound");
-    AccessPlan plan;
     plan.ref = ref;
 
     std::array<unsigned, kMaxWays> order;
@@ -123,29 +123,25 @@ planLookup(const core::LineRef &ref, core::WayPolicy *policy,
         plan.probes[0].traceWay = 0;
         break;
     }
-    return plan;
 }
 
-AccessPlan
+void
 planLocate(const core::LineRef &ref, core::WayPolicy *policy,
-           const core::CacheGeometry &geom)
+           const core::CacheGeometry &geom, AccessPlan &plan)
 {
     ACCORD_ASSERT(geom.ways <= kMaxWays,
                   "geometry exceeds the plan-core way bound");
-    AccessPlan plan;
     plan.ref = ref;
     plan.shape = IssueShape::Chained;
     std::array<unsigned, kMaxWays> order;
     const unsigned count = probeOrder(ref, policy, geom, order);
     fillSteps(plan, order, count);
-    return plan;
 }
 
-AccessPlan
+void
 planCaLookup(LineAddr line, std::uint64_t primary,
-             std::uint64_t secondary)
+             std::uint64_t secondary, AccessPlan &plan)
 {
-    AccessPlan plan;
     // CA slots index a ways==1 geometry: set = slot, tag = full line.
     plan.ref.line = line;
     plan.ref.set = primary;
@@ -154,7 +150,6 @@ planCaLookup(LineAddr line, std::uint64_t primary,
     plan.probeCount = 2;
     plan.probes[0] = {primary, 0, line, 0};
     plan.probes[1] = {secondary, 0, line, 1};
-    return plan;
 }
 
 } // namespace accord::dramcache

@@ -3,9 +3,9 @@
  * The pure lookup-decision core of the DRAM cache.
  *
  * Given a line, a tag-store view, the way policy, and the lookup mode,
- * planLookup() produces a side-effect-free AccessPlan: which array
- * slots to probe, in what order, with what issue shape, and what each
- * outcome costs in line transfers.  Both the untimed warm shell and
+ * planLookup() fills a caller-owned, side-effect-free AccessPlan:
+ * which array slots to probe, in what order, with what issue shape,
+ * and what each outcome costs in line transfers.  Both the untimed warm shell and
  * the timed transaction engine execute the SAME plan, so the
  * functional and timed paths cannot diverge by construction — the
  * drift the old duplicated `switch (params.lookup)` blocks allowed.
@@ -45,20 +45,24 @@ enum class IssueShape
     Single,
 };
 
-/** One array slot a lookup may touch. */
+/**
+ * One array slot a lookup may touch.  No member initializers: a plan
+ * writes and reads only its first probeCount steps, so building one
+ * never clears the whole probe array.
+ */
 struct ProbeStep
 {
     /** Array set (a CA plan probes two different slots). */
-    std::uint64_t set = 0;
+    std::uint64_t set;
 
     /** Way within the set. */
-    unsigned way = 0;
+    unsigned way;
 
     /** Tag value that means "hit" at this slot. */
-    std::uint64_t matchTag = 0;
+    std::uint64_t matchTag;
 
     /** Way argument for trace points (CA reports the slot index). */
-    unsigned traceWay = 0;
+    unsigned traceWay;
 };
 
 /** Where a plan's probes found the line. */
@@ -73,13 +77,15 @@ struct HitLocation
 
 /**
  * A side-effect-free lookup decision: probe sequence plus the
- * transfer accounting both execution shells share.
+ * transfer accounting both execution shells share.  Only the first
+ * probeCount steps are meaningful; the planners set every field they
+ * use, so one plan object can be refilled for each access.
  */
 struct AccessPlan
 {
     core::LineRef ref;
     IssueShape shape = IssueShape::Chained;
-    std::array<ProbeStep, kMaxWays> probes{};
+    std::array<ProbeStep, kMaxWays> probes;
     unsigned probeCount = 0;
 
     /** Line transfers a hit at probe index `index` costs. */
@@ -125,28 +131,29 @@ stepHits(const ProbeStep &step, const TagStore &tags)
 HitLocation resolve(const AccessPlan &plan, const TagStore &tags);
 
 /**
- * Plan a set-associative lookup: probe order (predicted way first,
- * then the remaining policy candidates) plus the issue shape and
- * transfer accounting of `mode`.  This function is the ONE place that
- * dispatches on LookupMode.
+ * Plan a set-associative lookup into `plan`: probe order (predicted
+ * way first, then the remaining policy candidates) plus the issue
+ * shape and transfer accounting of `mode`.  This function is the ONE
+ * place that dispatches on LookupMode.
  */
-AccessPlan planLookup(const core::LineRef &ref, core::WayPolicy *policy,
-                      const core::CacheGeometry &geom, LookupMode mode);
+void planLookup(const core::LineRef &ref, core::WayPolicy *policy,
+                const core::CacheGeometry &geom, LookupMode mode,
+                AccessPlan &plan);
 
 /**
  * Plan a set-associative locate sweep (writeback routing without DCP
- * way bits): always chained over the full candidate order, regardless
- * of the demand-lookup mode.
+ * way bits) into `plan`: always chained over the full candidate
+ * order, regardless of the demand-lookup mode.
  */
-AccessPlan planLocate(const core::LineRef &ref, core::WayPolicy *policy,
-                      const core::CacheGeometry &geom);
+void planLocate(const core::LineRef &ref, core::WayPolicy *policy,
+                const core::CacheGeometry &geom, AccessPlan &plan);
 
 /**
- * Plan a column-associative lookup: primary slot then its pair slot,
- * chained, with full line addresses as match tags.
+ * Plan a column-associative lookup into `plan`: primary slot then its
+ * pair slot, chained, with full line addresses as match tags.
  */
-AccessPlan planCaLookup(LineAddr line, std::uint64_t primary,
-                        std::uint64_t secondary);
+void planCaLookup(LineAddr line, std::uint64_t primary,
+                  std::uint64_t secondary, AccessPlan &plan);
 
 } // namespace accord::dramcache
 

@@ -207,7 +207,8 @@ DramCacheController::warmRead(LineAddr line)
 #if ACCORD_CHECKS_ENABLED
     maybeAudit();
 #endif
-    const AccessPlan plan = org_->planRead(line);
+    AccessPlan plan;
+    org_->planRead(line, plan);
     const HitLocation loc = resolve(plan, tags);
 
     if (loc.index >= 0) {
@@ -282,7 +283,8 @@ DramCacheController::writebackCommon(LineAddr line, bool timed,
     } else {
         // No DCP way bits: a probe sequence locates the line (or
         // confirms absence) before the write can be routed.
-        const AccessPlan plan = org_->planDemandLocate(line);
+        AccessPlan plan;
+        org_->planDemandLocate(line, plan);
         const HitLocation loc = resolve(plan, tags);
         const unsigned probes = loc.index >= 0
             ? static_cast<unsigned>(loc.index) + 1

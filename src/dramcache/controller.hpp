@@ -26,11 +26,11 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/event_queue.hpp"
 #include "common/invariant_auditor.hpp"
 #include "common/metrics/registry.hpp"
-#include "common/object_pool.hpp"
 #include "common/stats.hpp"
 #include "common/trace_event/trace_event.hpp"
 #include "core/way_policy.hpp"
@@ -56,8 +56,11 @@ class SetAssocOrg;
 class DramCacheController : private OrgServices
 {
   public:
-    /** Demand-read completion: hit/miss and data-ready cycle. */
-    using ReadDone = std::function<void(bool hit, Cycle when)>;
+    /**
+     * Demand-read completion: hit/miss and data-ready cycle.  A core's
+     * `[this]` capture fits inline.
+     */
+    using ReadDone = InlineFunction<void(bool hit, Cycle when), 16>;
 
     /**
      * @param params  cache organization
@@ -143,8 +146,22 @@ class DramCacheController : private OrgServices
     dram::DramSystem &hbm() { return hbm_; }
     const dram::DramSystem &hbm() const { return hbm_; }
 
-    /** Transaction arena, for telemetry pool-usage snapshots. */
-    const BlockPool &txnPool() const { return *txn_pool_; }
+    /** Timed reads holding a transaction (telemetry `pool_live`). */
+    std::size_t
+    liveTxns() const
+    {
+        return txns_.size() - free_txns_.size();
+    }
+
+    /**
+     * Bytes of one transaction object, 0 until the first timed read
+     * (telemetry `pool_block_bytes`).
+     */
+    std::size_t
+    txnBytes() const
+    {
+        return txns_.empty() ? 0 : sizeof(ReadTxn);
+    }
 
     /**
      * Host bytes currently backing per-set cache state: the tag/flag
@@ -200,13 +217,34 @@ class DramCacheController : private OrgServices
 
     // --- timed read engine (read_txn.cpp) -------------------------
 
-    struct ReadTxn;
-    void issueProbe(const std::shared_ptr<ReadTxn> &txn, unsigned index);
-    void probeDone(const std::shared_ptr<ReadTxn> &txn, unsigned index,
-                   Cycle when);
-    void missConfirmed(const std::shared_ptr<ReadTxn> &txn, Cycle when);
-    void finishHit(const std::shared_ptr<ReadTxn> &txn, unsigned way,
-                   unsigned trace_way, unsigned probe_index, Cycle when);
+    /**
+     * In-flight state of one timed demand read.  The controller owns
+     * every transaction; device callbacks hold a raw pointer, and the
+     * callback that finishes the read releases it to the free stack.
+     * Reuse assigns every field afresh.
+     */
+    struct ReadTxn
+    {
+        AccessPlan plan;
+        ReadDone done;
+        Cycle start = 0;
+
+        /** Trace transaction of this read (kNoTxn when untraced). */
+        trace_event::TxnId trace = trace_event::kNoTxn;
+
+        /** Broadside issue: probe index of the resident way, -1 if absent. */
+        int parallelHitPos = -1;
+        unsigned parallelArrived = 0;
+    };
+
+    void issueProbe(ReadTxn *txn, unsigned index);
+    void probeDone(ReadTxn *txn, unsigned index, Cycle when);
+    void missConfirmed(ReadTxn *txn, Cycle when);
+    void finishHit(ReadTxn *txn, unsigned way, unsigned trace_way,
+                   unsigned probe_index, Cycle when);
+
+    /** Return a finished transaction to the free stack. */
+    void releaseTxn(ReadTxn *txn);
 
     // --- shared shells --------------------------------------------
 
@@ -245,11 +283,14 @@ class DramCacheController : private OrgServices
     SetAssocOrg *setassoc_ = nullptr;
 
     /**
-     * Recycles ReadTxn+control-block allocations (read_txn.cpp).
-     * Shared so pooled transactions still referenced by queued events
-     * keep the arena alive past controller teardown.
+     * Every transaction ever created, destroyed only with the
+     * controller.  Events still queued at teardown hold raw pointers
+     * into it and never dereference them when destroyed.
      */
-    std::shared_ptr<BlockPool> txn_pool_ = std::make_shared<BlockPool>();
+    std::vector<std::unique_ptr<ReadTxn>> txns_;
+
+    /** Released transactions, reused before the store grows. */
+    std::vector<ReadTxn *> free_txns_;
 
     unsigned in_flight = 0;
 

@@ -25,8 +25,8 @@ class ColAssocOrg final : public OrgStrategy
   public:
     explicit ColAssocOrg(const OrgContext &ctx);
 
-    AccessPlan planRead(LineAddr line) override;
-    AccessPlan planDemandLocate(LineAddr line) override;
+    void planRead(LineAddr line, AccessPlan &plan) override;
+    void planDemandLocate(LineAddr line, AccessPlan &plan) override;
     void afterReadHit(const HitContext &hit) override;
     void installAfterMiss(LineAddr line, bool timed,
                           trace_event::TxnId parent) override;

@@ -30,8 +30,8 @@ class SetAssocOrg final : public OrgStrategy
   public:
     explicit SetAssocOrg(const OrgContext &ctx);
 
-    AccessPlan planRead(LineAddr line) override;
-    AccessPlan planDemandLocate(LineAddr line) override;
+    void planRead(LineAddr line, AccessPlan &plan) override;
+    void planDemandLocate(LineAddr line, AccessPlan &plan) override;
     void onReadHit(const HitContext &hit) override;
     void onReadMiss(const core::LineRef &ref) override;
     void installAfterMiss(LineAddr line, bool timed,

@@ -109,14 +109,15 @@ class OrgStrategy
     OrgStrategy(const OrgStrategy &) = delete;
     OrgStrategy &operator=(const OrgStrategy &) = delete;
 
-    /** Lookup plan for a demand read of `line`. */
-    virtual AccessPlan planRead(LineAddr line) = 0;
+    /** Fill `plan` with the lookup plan for a demand read of `line`. */
+    virtual void planRead(LineAddr line, AccessPlan &plan) = 0;
 
     /**
-     * Probe plan for locating `line` on a writeback without DCP way
-     * bits: always a chained sweep, independent of the lookup mode.
+     * Fill `plan` with the probe plan for locating `line` on a
+     * writeback without DCP way bits: always a chained sweep,
+     * independent of the lookup mode.
      */
-    virtual AccessPlan planDemandLocate(LineAddr line) = 0;
+    virtual void planDemandLocate(LineAddr line, AccessPlan &plan) = 0;
 
     /**
      * A read hit resolved: update policy feedback and replacement

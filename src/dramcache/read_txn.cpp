@@ -7,9 +7,13 @@
  * probe, in what order, and what each outcome costs was decided by the
  * plan core, so this file contains no lookup-mode or organization
  * logic.
+ *
+ * Transactions are plain controller-owned objects.  The callback that
+ * finishes one releases it: a hit completion (Single, Chained), the
+ * NVM completion of every miss, or — for Broadside — the last probe
+ * arrival, which may come after a hit at an earlier position.
  */
 
-#include "common/object_pool.hpp"
 #include "common/trace_event/tracer.hpp"
 #include "dramcache/access_plan.hpp"
 #include "dramcache/controller.hpp"
@@ -17,21 +21,6 @@
 
 namespace accord::dramcache
 {
-
-/** In-flight state of one timed demand read. */
-struct DramCacheController::ReadTxn
-{
-    AccessPlan plan;
-    ReadDone done;
-    Cycle start = 0;
-
-    /** Trace transaction of this read (kNoTxn when untraced). */
-    trace_event::TxnId trace = trace_event::kNoTxn;
-
-    /** Broadside issue: probe index of the resident way, -1 if absent. */
-    int parallelHitPos = -1;
-    unsigned parallelArrived = 0;
-};
 
 ACCORD_HOT void
 DramCacheController::read(LineAddr line, ReadDone done,
@@ -41,18 +30,29 @@ DramCacheController::read(LineAddr line, ReadDone done,
     maybeAudit();
 #endif
 
-    // Pool-allocated: the transaction and its shared_ptr control
-    // block recycle through txn_pool_ instead of hitting the heap on
-    // every demand read.
-    auto txn =
-        std::allocate_shared<ReadTxn>(PoolAllocator<ReadTxn>(txn_pool_));
+    ReadTxn *txn;
+    if (free_txns_.empty()) {
+        // accord-lint: allow(hot-alloc) the store grows to the peak of
+        // reads in flight; the free stack serves the steady state
+        txns_.push_back(std::make_unique<ReadTxn>());
+        txn = txns_.back().get();
+    } else {
+        txn = free_txns_.back();
+        free_txns_.pop_back();
+    }
+
     // Devirtualized fast path: SetAssocOrg is final, so calls through
-    // setassoc_ skip the vtable and inline.
-    txn->plan = setassoc_ != nullptr ? setassoc_->planRead(line)
-                                     : org_->planRead(line);
+    // setassoc_ skip the vtable and inline.  Either way the plan is
+    // built straight into the transaction.
+    if (setassoc_ != nullptr)
+        setassoc_->planRead(line, txn->plan);
+    else
+        org_->planRead(line, txn->plan);
     txn->done = std::move(done);
     txn->start = eq.now();
     txn->trace = tracer_ != nullptr ? trace : trace_event::kNoTxn;
+    txn->parallelHitPos = -1;
+    txn->parallelArrived = 0;
     ++in_flight;
 
     if (txn->trace != trace_event::kNoTxn) {
@@ -72,10 +72,12 @@ DramCacheController::read(LineAddr line, ReadDone done,
         cacheOp(txn->plan.probes[0].set, txn->plan.probes[0].way,
                 false, [this, txn](Cycle when) {
             const HitLocation loc = resolve(txn->plan, tags);
-            if (loc.index >= 0)
+            if (loc.index >= 0) {
                 finishHit(txn, loc.way, loc.way, 0, when);
-            else
+                releaseTxn(txn);
+            } else {
                 missConfirmed(txn, when);
+            }
         }, false, txn->trace);
         return;
       }
@@ -97,18 +99,23 @@ DramCacheController::read(LineAddr line, ReadDone done,
             cacheOp(txn->plan.probes[i].set, txn->plan.probes[i].way,
                     false, [this, txn](Cycle when) {
                 ++txn->parallelArrived;
+                const bool last =
+                    txn->parallelArrived == txn->plan.probeCount;
+                if (txn->parallelHitPos < 0) {
+                    if (last)
+                        missConfirmed(txn, when);
+                    return;
+                }
                 const auto hit_pos =
                     static_cast<unsigned>(txn->parallelHitPos);
-                if (txn->parallelHitPos >= 0
-                    && txn->parallelArrived == hit_pos + 1) {
+                if (txn->parallelArrived == hit_pos + 1) {
                     finishHit(txn, txn->plan.probes[hit_pos].way,
                               txn->plan.probes[hit_pos].traceWay,
                               hit_pos, when);
-                } else if (txn->parallelHitPos < 0
-                           && txn->parallelArrived
-                               == txn->plan.probeCount) {
-                    missConfirmed(txn, when);
                 }
+                // Later probes still point at the transaction.
+                if (last)
+                    releaseTxn(txn);
             }, false, txn->trace);
         }
         return;
@@ -121,8 +128,14 @@ DramCacheController::read(LineAddr line, ReadDone done,
 }
 
 ACCORD_HOT void
-DramCacheController::issueProbe(const std::shared_ptr<ReadTxn> &txn,
-                                unsigned index)
+DramCacheController::releaseTxn(ReadTxn *txn)
+{
+    txn->done.reset();
+    free_txns_.push_back(txn);
+}
+
+ACCORD_HOT void
+DramCacheController::issueProbe(ReadTxn *txn, unsigned index)
 {
     stats_.cacheReadTransfers.inc();
     if (txn->trace != trace_event::kNoTxn) {
@@ -138,8 +151,7 @@ DramCacheController::issueProbe(const std::shared_ptr<ReadTxn> &txn,
 }
 
 ACCORD_HOT void
-DramCacheController::probeDone(const std::shared_ptr<ReadTxn> &txn,
-                               unsigned index, Cycle when)
+DramCacheController::probeDone(ReadTxn *txn, unsigned index, Cycle when)
 {
     // Chained probes check live tags: an overlapping fill may have
     // installed or moved the line since this probe was issued.
@@ -147,6 +159,7 @@ DramCacheController::probeDone(const std::shared_ptr<ReadTxn> &txn,
         stats_.probesPerRead.sample(static_cast<double>(index + 1));
         finishHit(txn, txn->plan.probes[index].way,
                   txn->plan.probes[index].traceWay, index, when);
+        releaseTxn(txn);
         return;
     }
     if (index + 1 < txn->plan.probeCount) {
@@ -159,9 +172,9 @@ DramCacheController::probeDone(const std::shared_ptr<ReadTxn> &txn,
 }
 
 ACCORD_HOT void
-DramCacheController::finishHit(const std::shared_ptr<ReadTxn> &txn,
-                               unsigned way, unsigned trace_way,
-                               unsigned probe_index, Cycle when)
+DramCacheController::finishHit(ReadTxn *txn, unsigned way,
+                               unsigned trace_way, unsigned probe_index,
+                               Cycle when)
 {
     stats_.readHits.hit();
     stats_.wayPrediction.add(AccessPlan::predictedAt(probe_index));
@@ -207,8 +220,7 @@ DramCacheController::finishHit(const std::shared_ptr<ReadTxn> &txn,
 }
 
 ACCORD_HOT void
-DramCacheController::missConfirmed(const std::shared_ptr<ReadTxn> &txn,
-                                   Cycle when)
+DramCacheController::missConfirmed(ReadTxn *txn, Cycle when)
 {
     stats_.readHits.miss();
     if (setassoc_ != nullptr)
@@ -248,6 +260,7 @@ DramCacheController::missConfirmed(const std::shared_ptr<ReadTxn> &txn,
         else
             org_->installAfterMiss(txn->plan.ref.line, /* timed */ true,
                                    txn->trace);
+        releaseTxn(txn);
     }, txn->trace);
 }
 

@@ -245,8 +245,8 @@ System::telemetrySample(const char *phase, std::uint64_t position) const
     s.eqExecuted = eq.executed();
     s.eqOccupancyPeak = eq.occupancyPeak();
     s.eqOverflowSpills = eq.overflowSpills();
-    s.poolLive = cache_->txnPool().live();
-    s.poolBlockBytes = cache_->txnPool().blockSize();
+    s.poolLive = cache_->liveTxns();
+    s.poolBlockBytes = cache_->txnBytes();
     s.stateBytes = cache_->residentStateBytes();
     return s;
 }
