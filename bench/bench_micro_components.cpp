@@ -2,9 +2,11 @@
  * @file
  * google-benchmark microbenchmarks of the hot simulator components:
  * policy decisions (PWS/GWS/SWS/partial-tag), RegionTable lookups,
- * TagStore way search, the RNG, the event queue, and accord.trace/1
- * decode and skip.  These guard the simulator's own performance — a
- * full Fig-10 sweep runs hundreds of millions of these operations.
+ * TagStore way search, the RNG, the event queue, the DRAM channel's
+ * FR-FCFS scheduler, the controller's timed read engine, and
+ * accord.trace/1 decode and skip.  These guard the simulator's own
+ * performance — a full Fig-10 sweep runs hundreds of millions of
+ * these operations.
  */
 
 #include <benchmark/benchmark.h>
@@ -20,7 +22,10 @@
 #include "common/trace_event/tracer.hpp"
 #include "core/factory.hpp"
 #include "core/ganged.hpp"
+#include "dram/channel.hpp"
+#include "dramcache/controller.hpp"
 #include "dramcache/tag_store.hpp"
+#include "nvm/nvm_system.hpp"
 #include "trace/bintrace.hpp"
 #include "trace/source.hpp"
 #include "trace/workloads.hpp"
@@ -233,6 +238,100 @@ BM_EventQueueBurst(benchmark::State &state)
 }
 
 /**
+ * FR-FCFS scheduling on one HBM channel: reads arrive so that `depth`
+ * are queued or in flight, half of them to the row last requested at
+ * their bank and one in eight a priority continuation.  One iteration
+ * is one completed read (its events plus one new arrival).
+ */
+void
+BM_ChannelFrFcfs(benchmark::State &state)
+{
+    const auto depth = static_cast<unsigned>(state.range(0));
+    const dram::TimingParams timing = dram::hbmCacheTiming();
+    EventQueue eq;
+    dram::Channel channel(0, timing, eq);
+    std::vector<std::uint64_t> last_row(timing.banksPerChannel, 0);
+    Rng rng(17);
+    std::uint64_t completed = 0;
+    const auto arrive = [&] {
+        dram::MemOp op;
+        op.loc.bank =
+            static_cast<unsigned>(rng.below(timing.banksPerChannel));
+        if (rng.below(2) != 0)
+            last_row[op.loc.bank] = rng.below(1024);
+        op.loc.row = last_row[op.loc.bank];
+        op.priority = rng.below(8) == 0;
+        op.onComplete = [&completed](Cycle) { ++completed; };
+        channel.enqueue(std::move(op));
+    };
+    for (unsigned i = 0; i < depth; ++i)
+        arrive();
+    for (auto _ : state) {
+        const std::uint64_t target = completed + 1;
+        while (completed < target)
+            eq.step();
+        arrive();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+/**
+ * The timed read engine end to end: controller read() through to its
+ * completion callback, with 8 reads in flight (one core's MLP) on a
+ * 16 MB 2-way pws+gws cache over PCM.  Arg 0 draws lines from a set a
+ * quarter of the cache's size, warmed first (hit-heavy); arg 1 draws
+ * them from 16x the capacity (miss-heavy: NVM reads, fills and
+ * evictions).  One iteration is one completed read.
+ */
+void
+BM_TimedRead(benchmark::State &state)
+{
+    const bool miss_heavy = state.range(0) != 0;
+    dramcache::DramCacheParams params;
+    params.capacityBytes = 16ULL << 20;
+    params.ways = 2;
+    params.lookup = dramcache::LookupMode::Predicted;
+    params.auditInterval = 0;
+    const std::uint64_t lines = params.capacityBytes / lineSize;
+    core::CacheGeometry geom;
+    geom.ways = params.ways;
+    geom.sets = lines / params.ways;
+    core::PolicyOptions opts;
+    opts.seed = 42;
+
+    EventQueue eq;
+    nvm::NvmSystem nvm(eq);
+    dramcache::DramCacheController cache(
+        params, core::makePolicy("pws+gws", geom, opts),
+        dram::hbmCacheTiming(), eq, nvm);
+
+    const std::uint64_t span = miss_heavy ? lines * 16 : lines / 4;
+    if (!miss_heavy) {
+        for (LineAddr line = 0; line < span; ++line)
+            cache.warmRead(line);
+        cache.resetStats();
+    }
+
+    Rng rng(23);
+    std::uint64_t completed = 0;
+    const auto issue = [&] {
+        cache.read(rng.below(span), [&completed](bool, Cycle) {
+            ++completed;
+        });
+    };
+    for (int i = 0; i < 8; ++i)
+        issue();
+    for (auto _ : state) {
+        const std::uint64_t target = completed + 1;
+        while (completed < target)
+            eq.step();
+        issue();
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.counters["hit_rate"] = cache.stats().readHits.rate();
+}
+
+/**
  * A 1M-record accord.trace/1 file of the libq stream, written on first
  * use and removed at exit.
  */
@@ -346,6 +445,8 @@ BENCHMARK(BM_TelemetryOn);
 BENCHMARK(BM_EventQueue);
 BENCHMARK(BM_EventQueueBurst);
 BENCHMARK(BM_EventQueueFarFuture);
+BENCHMARK(BM_ChannelFrFcfs)->Arg(16);
+BENCHMARK(BM_TimedRead)->Arg(0)->Arg(1);
 BENCHMARK(BM_BinTraceDecode);
 BENCHMARK(BM_TraceSourceSkip)->Arg(0)->Arg(1);
 
