@@ -14,31 +14,24 @@ preferredWay(const LineRef &ref, unsigned ways)
     return static_cast<unsigned>(ref.tag & (ways - 1));
 }
 
-std::vector<unsigned>
+WayList
 alternateWays(const LineRef &ref, unsigned ways, unsigned count)
 {
-    ACCORD_ASSERT(isPow2(ways) && ways >= 2, "ways must be pow2 >= 2");
+    ACCORD_ASSERT(isPow2(ways) && ways >= 2 && ways <= WayList::kCapacity,
+                  "ways must be pow2 in [2, 64]");
     ACCORD_ASSERT(count >= 1 && count < ways, "bad alternate count");
 
     const unsigned way_bits = floorLog2(ways);
     const unsigned preferred = preferredWay(ref, ways);
 
-    std::vector<unsigned> alts;
-    alts.reserve(count);
-    auto contains = [&](unsigned w) {
-        for (const unsigned a : alts) {
-            if (a == w)
-                return true;
-        }
-        return false;
-    };
+    WayList alts;
 
     // Scan way_bits-sized groups above the preferred-way group.
     for (unsigned lo = way_bits; lo + way_bits <= 64 && alts.size() < count;
          lo += way_bits) {
         const auto group =
             static_cast<unsigned>(bits(ref.tag, lo, way_bits));
-        if (group != preferred && !contains(group))
+        if (group != preferred && !alts.contains(group))
             alts.push_back(group);
     }
 
@@ -46,7 +39,7 @@ alternateWays(const LineRef &ref, unsigned ways, unsigned count)
     // deterministically with rotations of the preferred way.
     for (unsigned i = 1; alts.size() < count && i < ways; ++i) {
         const unsigned w = (preferred + i) & (ways - 1);
-        if (!contains(w))
+        if (!alts.contains(w))
             alts.push_back(w);
     }
     return alts;
@@ -130,11 +123,8 @@ SwsPolicy::install(const LineRef &ref)
 std::uint64_t
 SwsPolicy::candidates(const LineRef &ref) const
 {
-    std::uint64_t mask =
-        std::uint64_t{1} << preferredWay(ref, geom_.ways);
-    for (const unsigned alt : alternateWays(ref, geom_.ways, k_ - 1))
-        mask |= std::uint64_t{1} << alt;
-    return mask;
+    return (std::uint64_t{1} << preferredWay(ref, geom_.ways))
+        | alternateWays(ref, geom_.ways, k_ - 1).mask();
 }
 
 std::string

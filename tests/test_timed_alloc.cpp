@@ -168,6 +168,20 @@ TEST(TimedAlloc, ChainedPredictedPathAllocatesNothing)
         << "no mispredicted hit exercised the chained re-probe";
 }
 
+TEST(TimedAlloc, SkewedWaySteeringPathAllocatesNothing)
+{
+    // SWS narrows each lookup and non-preferred install to a
+    // tag-hashed candidate list, built on every read.
+    test::MiniSystem sys(
+        allocParams(8, LookupMode::Predicted, Organization::SetAssoc),
+        "sws+gws");
+    const auto lines = conflictingLines(sys, 8);
+    EXPECT_EQ(steadyStateAllocations(sys, lines), 0u);
+    EXPECT_LT(sys->stats().wayPrediction.hits(),
+              sys->stats().readHits.hits())
+        << "no mispredicted hit exercised the chained re-probe";
+}
+
 TEST(TimedAlloc, BroadsidePathAllocatesNothing)
 {
     test::MiniSystem sys(
