@@ -119,8 +119,7 @@ struct AccessPlan
 inline bool
 stepHits(const ProbeStep &step, const TagStore &tags)
 {
-    return tags.valid(step.set, step.way)
-        && tags.tag(step.set, step.way) == step.matchTag;
+    return tags.holds(step.set, step.way, step.matchTag);
 }
 
 /**

@@ -30,8 +30,7 @@ auditTagStoreRange(const TagStore &tags, InvariantAuditor &auditor,
             ++valid_count;
             for (unsigned other = way + 1; other < geom.ways;
                  ++other) {
-                if (tags.valid(set, other)
-                    && tags.tag(set, other) == tags.tag(set, way)) {
+                if (tags.holds(set, other, tags.tag(set, way))) {
                     auditor.fail(
                         "tag-duplicate",
                         "set %llu: tag %llx in ways %u and %u",
@@ -117,8 +116,7 @@ auditCaSlotRange(const TagStore &tags, std::uint64_t pairMask,
                 static_cast<unsigned long long>(primary));
         }
         const std::uint64_t pair = slot ^ pairMask;
-        if (slot == primary && tags.valid(pair, 0)
-            && tags.tag(pair, 0) == line) {
+        if (slot == primary && tags.holds(pair, 0, line)) {
             auditor.fail("ca-duplicate",
                          "line %llx held in both slot %llu and its "
                          "pair %llu",

@@ -43,7 +43,7 @@ bool
 ColAssocOrg::slotHolds(std::uint64_t slot, LineAddr line) const
 {
     // CA mode stores full line addresses as tags.
-    return ctx_.tags.valid(slot, 0) && ctx_.tags.tag(slot, 0) == line;
+    return ctx_.tags.holds(slot, 0, line);
 }
 
 void

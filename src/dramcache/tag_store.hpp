@@ -7,10 +7,17 @@
  * transfer — the timing side charges those.  This class is the
  * simulator's functional mirror of that in-DRAM state.
  *
- * Storage is a struct-of-arrays pair of PagedColumn columns (tags and
- * flags) behind the StateBackend knob: dense for bench-scale runs,
- * lazily-paged for gigascale ones.  Untouched slots read as invalid in
- * both backends, so results are byte-identical across them.
+ * Like the hardware's tag-with-ECC word, each slot is one 64-bit word
+ * holding the tag and its state, `tag << 2 | dirty << 1 | valid`, so a
+ * way check is one load and one compare that ignores the dirty bit.
+ * Tags must fit in 62 bits: a set-associative tag (line >> setBits)
+ * always does once the cache has 4 sets, and install() rejects a wider
+ * one (a column-associative line address at or above 2^62).
+ *
+ * The words live in one PagedColumn behind the StateBackend knob:
+ * dense for bench-scale runs, lazily-paged for gigascale ones.  A
+ * never-written slot reads 0 (invalid) in both backends, exactly like
+ * an invalidated one, so results are byte-identical across them.
  */
 
 #ifndef ACCORD_DRAMCACHE_TAG_STORE_HPP
@@ -38,20 +45,33 @@ class TagStore
         std::uint64_t tag = 0;
     };
 
+    /** Widest tag a slot word holds. */
+    static constexpr unsigned kTagBits = 62;
+
     explicit TagStore(const core::CacheGeometry &geom,
                       StateBackend backend = StateBackend::Auto);
 
     /** Way holding the tag in the set, or -1 if absent. */
     int findWay(std::uint64_t set, std::uint64_t tag) const;
 
-    bool valid(std::uint64_t set, unsigned way) const
-        { return (flags.read(index(set, way)) & flagValid) != 0; }
-    bool dirty(std::uint64_t set, unsigned way) const
-        { return (flags.read(index(set, way)) & flagDirty) != 0; }
-    std::uint64_t tag(std::uint64_t set, unsigned way) const
-        { return tags.read(index(set, way)); }
+    /** True when the way holds the tag, clean or dirty. */
+    bool
+    holds(std::uint64_t set, unsigned way, std::uint64_t tag) const
+    {
+        return matches(words.read(index(set, way)), probeKey(tag));
+    }
 
-    /** Install a tag into a way, returning the displaced victim. */
+    bool valid(std::uint64_t set, unsigned way) const
+        { return (words.read(index(set, way)) & kValid) != 0; }
+    bool dirty(std::uint64_t set, unsigned way) const
+        { return (words.read(index(set, way)) & kDirty) != 0; }
+    std::uint64_t tag(std::uint64_t set, unsigned way) const
+        { return words.read(index(set, way)) >> kTagShift; }
+
+    /**
+     * Install a tag into a way, returning the displaced victim.
+     * Fatal when the tag is wider than kTagBits.
+     */
     Victim install(std::uint64_t set, unsigned way, std::uint64_t tag,
                    bool dirty);
 
@@ -67,14 +87,11 @@ class TagStore
     const core::CacheGeometry &geometry() const { return geom; }
 
     /** Storage mode the backend knob resolved to. */
-    StorageMode storageMode() const { return flags.mode(); }
+    StorageMode storageMode() const { return words.mode(); }
 
-    /** Host bytes currently backing the tag/flag columns. */
-    std::uint64_t
-    residentStateBytes() const
-    {
-        return tags.residentBytes() + flags.residentBytes();
-    }
+    /** Host bytes currently backing the slot words. */
+    std::uint64_t residentStateBytes() const
+        { return words.residentBytes(); }
 
     /**
      * True unless every slot of the set is on a never-written page
@@ -84,7 +101,7 @@ class TagStore
     setPossiblyOccupied(std::uint64_t set) const
     {
         const std::uint64_t first = set * geom.ways;
-        return flags.nextResidentSlot(first) < first + geom.ways;
+        return words.nextResidentSlot(first) < first + geom.ways;
     }
 
     /** Reconstruct the full line address stored in a way. */
@@ -95,8 +112,28 @@ class TagStore
     }
 
   private:
-    static constexpr std::uint8_t flagValid = 1;
-    static constexpr std::uint8_t flagDirty = 2;
+    static constexpr std::uint64_t kValid = 1;
+    static constexpr std::uint64_t kDirty = 2;
+    static constexpr unsigned kTagShift = 2;
+
+    /**
+     * The word a clean copy of `tag` is stored as.  A tag too wide
+     * for the word gets a key with the dirty bit set, which no masked
+     * word equals: such a tag is never resident.
+     */
+    static std::uint64_t
+    probeKey(std::uint64_t tag)
+    {
+        return (tag << kTagShift) | kValid
+            | ((tag >> kTagBits) != 0 ? kDirty : 0);
+    }
+
+    /** Whether a slot word holds the tag behind `key`. */
+    static bool
+    matches(std::uint64_t word, std::uint64_t key)
+    {
+        return (word & ~kDirty) == key;
+    }
 
     std::uint64_t
     index(std::uint64_t set, unsigned way) const
@@ -110,8 +147,7 @@ class TagStore
     }
 
     core::CacheGeometry geom;
-    PagedColumn<std::uint64_t> tags;
-    PagedColumn<std::uint8_t> flags;
+    PagedColumn<std::uint64_t> words;
     std::uint64_t occupancy_ = 0;
 };
 

@@ -99,6 +99,78 @@ TEST(TagStore, SetsAreIndependent)
     EXPECT_EQ(tags.findWay(4, 9), -1);
 }
 
+TEST(TagStore, DirtyLineStillFound)
+{
+    TagStore tags(geom(4));
+    tags.install(7, 2, 0x55, false);
+    tags.markDirty(7, 2);
+    tags.install(7, 3, 0x66, true);
+    EXPECT_EQ(tags.findWay(7, 0x55), 2);
+    EXPECT_EQ(tags.findWay(7, 0x66), 3);
+    EXPECT_TRUE(tags.holds(7, 2, 0x55));
+    EXPECT_TRUE(tags.holds(7, 3, 0x66));
+    EXPECT_FALSE(tags.holds(7, 2, 0x66));
+    EXPECT_FALSE(tags.holds(7, 0, 0));     // never-written slot
+    EXPECT_EQ(tags.tag(7, 2), 0x55u);
+}
+
+TEST(TagStore, WidestTagRoundTrips)
+{
+    // One set: the tag is the whole line address.
+    TagStore tags(geom(2, 1));
+    const std::uint64_t widest =
+        (std::uint64_t{1} << TagStore::kTagBits) - 1;
+    EXPECT_FALSE(tags.install(0, 1, widest, true).valid);
+    EXPECT_EQ(tags.findWay(0, widest), 1);
+    EXPECT_EQ(tags.tag(0, 1), widest);
+    EXPECT_TRUE(tags.valid(0, 1));
+    EXPECT_TRUE(tags.dirty(0, 1));
+
+    tags.invalidate(0, 1);
+    EXPECT_EQ(tags.findWay(0, widest), -1);
+    EXPECT_FALSE(tags.valid(0, 1));
+    EXPECT_FALSE(tags.dirty(0, 1));
+    EXPECT_EQ(tags.occupancy(), 0u);
+
+    tags.install(0, 1, widest, false);
+    EXPECT_FALSE(tags.dirty(0, 1));
+    tags.markDirty(0, 1);
+    EXPECT_EQ(tags.findWay(0, widest), 1);
+    const auto victim = tags.install(0, 1, 0, false);
+    EXPECT_TRUE(victim.valid);
+    EXPECT_TRUE(victim.dirty);
+    EXPECT_EQ(victim.tag, widest);
+    EXPECT_EQ(tags.findWay(0, 0), 1);
+    EXPECT_FALSE(tags.dirty(0, 1));
+}
+
+TEST(TagStore, TooWideProbeNeverAliases)
+{
+    // A tag with bits above the field would shift onto a resident
+    // word; it must miss instead.
+    TagStore tags(geom(1, 1));
+    tags.install(0, 0, 0x9, true);
+    const std::uint64_t alias =
+        0x9 | (std::uint64_t{1} << TagStore::kTagBits);
+    EXPECT_EQ(tags.findWay(0, alias), -1);
+    EXPECT_FALSE(tags.holds(0, 0, alias));
+    EXPECT_FALSE(tags.holds(0, 0, 0x9 | (std::uint64_t{3} << 62)));
+    EXPECT_TRUE(tags.holds(0, 0, 0x9));
+}
+
+TEST(TagStoreDeath, TooWideTagFatal)
+{
+    const std::uint64_t wide = std::uint64_t{1} << TagStore::kTagBits;
+    TagStore one_set(geom(2, 1));
+    EXPECT_EXIT(one_set.install(0, 0, wide, false),
+                ::testing::ExitedWithCode(1), "4000000000000000");
+    // Column-associative shape: one way, full line addresses as tags.
+    TagStore ca(geom(1, 1024));
+    EXPECT_EXIT(ca.install(17, 0, wide | 17, true),
+                ::testing::ExitedWithCode(1),
+                "tag 4000000000000011 for set 17");
+}
+
 TEST(TagStoreDeath, MarkDirtyInvalidPanics)
 {
     TagStore tags(geom(2));
