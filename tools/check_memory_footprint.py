@@ -6,13 +6,13 @@ full-scale 4GB/128GB-PCM point with the paged state backend and
 streams accord.telemetry/1 heartbeats.  Each stream carries:
 
   state_bytes   canonical gauge: host bytes backing per-set cache
-                state (tag/flag columns, predictor tables)
+                state (packed tag words, predictor tables)
   host.peak_rss_kb
                 volatile: process peak RSS at the heartbeat
 
 This tool is the budget gate: for every stream it computes the
 dense-equivalent footprint from the header's canonical spec
-(cache_bytes / 64 lines x 9 bytes of tag+flag state, +8 for the LRU
+(cache_bytes / 64 lines x 8 bytes of packed tag word, +8 for the LRU
 ablation) and fails when
 
   * the final state_bytes exceeds ``max_state_fraction`` of the
@@ -111,15 +111,15 @@ def spec_tokens(spec):
 
 
 def dense_equivalent_bytes(spec):
-    """Dense-backend bytes for the spec's per-line state: 8B tag + 1B
-    flags per line, +8B LRU stamps for the LRU ablation.  Mirrors
-    bench_gigascale's denseEquivalentBytes()."""
+    """Dense-backend bytes for the spec's per-line state: one 8B tag
+    word (tag, valid and dirty packed) per line, +8B LRU stamps for the
+    LRU ablation.  Mirrors bench_gigascale's denseEquivalentBytes()."""
     tokens = spec_tokens(spec)
     if "cache_bytes" not in tokens:
         raise FootprintError(
             f"spec carries no cache_bytes= token: {spec!r}")
     lines = int(tokens["cache_bytes"]) // LINE_BYTES
-    per_line = 8 + 1
+    per_line = 8
     if tokens.get("repl") == "lru":
         per_line += 8
     return lines * per_line
@@ -159,7 +159,7 @@ def check_stream(path, budget):
 
 GOOD_BUDGET = {"schema": BUDGET_SCHEMA, "max_state_fraction": 0.25,
                "max_peak_rss_kb": 2 * 1024 * 1024}
-# 1/16 scale spec: 256MB cache -> 4M lines -> 36MB dense equivalent.
+# 1/16 scale spec: 256MB cache -> 4M lines -> 32MB dense equivalent.
 TEST_SPEC = ("workload=libq cores=2 scale=16 cache_bytes=268435456 "
              "ways=2 repl=rand seed=1")
 
