@@ -36,11 +36,11 @@ namespace
 {
 
 core::CacheGeometry
-benchGeometry(unsigned ways)
+benchGeometry(unsigned ways, std::uint64_t cacheMiB = 64)
 {
     core::CacheGeometry geom;
     geom.ways = ways;
-    geom.sets = (64ULL << 20) / lineSize / ways;
+    geom.sets = (cacheMiB << 20) / lineSize / ways;
     return geom;
 }
 
@@ -98,11 +98,19 @@ BM_RegionTableLookup(benchmark::State &state)
         benchmark::DoNotOptimize(table.lookup(rng.next() & 0xff));
 }
 
+/**
+ * Way search for random lines in a full store: nearly every probe
+ * misses and reads all its ways.  Args: ways, cache MiB.  The 64 MiB
+ * stores are dense and fit a host L3; 8 ways at 256 MiB is
+ * functional_large's 4M-line geometry, paged, with 32 MiB of tag
+ * words, far beyond a core's L2.
+ */
 void
 BM_TagStoreFindWay(benchmark::State &state)
 {
     const auto geom =
-        benchGeometry(static_cast<unsigned>(state.range(0)));
+        benchGeometry(static_cast<unsigned>(state.range(0)),
+                      static_cast<std::uint64_t>(state.range(1)));
     dramcache::TagStore tags(geom);
     Rng rng(5);
     for (std::uint64_t i = 0; i < geom.lines(); ++i) {
@@ -436,7 +444,11 @@ BENCHMARK(BM_PolicyPwsGws);
 BENCHMARK(BM_PolicySws);
 BENCHMARK(BM_PolicyPartialTag);
 BENCHMARK(BM_RegionTableLookup)->Arg(64)->Arg(256);
-BENCHMARK(BM_TagStoreFindWay)->Arg(2)->Arg(8);
+BENCHMARK(BM_TagStoreFindWay)
+    ->ArgNames({"ways", "mib"})
+    ->Args({2, 64})
+    ->Args({8, 64})
+    ->Args({8, 256});
 BENCHMARK(BM_Rng);
 BENCHMARK(BM_TraceHookOff);
 BENCHMARK(BM_TraceHookOn);
