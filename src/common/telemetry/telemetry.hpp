@@ -111,7 +111,7 @@ struct HeartbeatSample
     std::uint64_t poolBlockBytes = 0;
 
     /**
-     * Host bytes backing per-set cache state (tag/flag columns,
+     * Host bytes backing per-set cache state (packed tag words,
      * predictor tables) at this heartbeat.  Deterministic —
      * resident pages are a pure function of the access stream — so it
      * lives with the canonical gauges, not under "host".

@@ -164,8 +164,8 @@ class DramCacheController : private OrgServices
     }
 
     /**
-     * Host bytes currently backing per-set cache state: the tag/flag
-     * columns, organization-private state, and (when attached) the
+     * Host bytes currently backing per-set cache state: the packed
+     * tag words, organization-private state, and (when attached) the
      * way policy's own tables.  Feeds the resident-state telemetry
      * gauge and the gigascale footprint budget.
      */

@@ -225,7 +225,7 @@ struct SystemMetrics
     std::uint64_t policyStorageBits = 0;
 
     /**
-     * Host bytes backing per-set cache state (tag/flag columns,
+     * Host bytes backing per-set cache state (packed tag words,
      * predictor tables) at the end of the run.  Host-side
      * footprint gauge for the gigascale RSS budget — deliberately NOT
      * a registry metric (it varies with the state backend while
