@@ -10,7 +10,7 @@
  * event ratio, and the hit-rate error in percentage points.  Both
  * runs are fully deterministic (no wall clock anywhere), so the run
  * report is byte-stable and diffable against a golden baseline
- * (tests/baselines/, tools/check_trace_replay.sh).
+ * (tests/baselines/, tools/check_equivalence.py --suite replay).
  *
  * By default the stream is the synthetic model bounded to records=
  * requests; point tracefile= at an accord.trace/1 file to evaluate

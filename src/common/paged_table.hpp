@@ -15,9 +15,9 @@
  *
  * Both modes expose identical semantics — a slot reads as the fill
  * value until written — so simulation results are byte-identical
- * across backends (enforced by check_refactor_equivalence.sh at
- * rtol 0).  Resident-page/byte accounting feeds the footprint gauges
- * in SystemMetrics and telemetry heartbeats.
+ * across backends (enforced by tools/check_equivalence.py --suite
+ * refactor at rtol 0).  Resident-page/byte accounting feeds the
+ * footprint gauges in SystemMetrics and telemetry heartbeats.
  *
  * Purity contract: read() is the ACCORD_HOT unchecked fast path and
  * never allocates.  materializeSlot()/ensurePage() are the only

@@ -7,7 +7,6 @@
 #include "common/trace_event/tracer.hpp"
 #include "dramcache/access_plan.hpp"
 #include "dramcache/audit.hpp"
-#include "dramcache/org_setassoc.hpp"
 
 namespace accord::dramcache
 {
@@ -83,9 +82,6 @@ DramCacheController::DramCacheController(
                   "organization geometry exceeds the plan-core bound");
     org_ = makeOrganization(OrgContext{this->params, geom, tags, stats_,
                                        policy_.get(), *this});
-    setassoc_ = params.org == Organization::SetAssoc
-        ? static_cast<SetAssocOrg *>(org_.get())
-        : nullptr;
 }
 
 DramCacheController::~DramCacheController() = default;

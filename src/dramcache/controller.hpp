@@ -50,8 +50,6 @@ class Tracer;
 namespace accord::dramcache
 {
 
-class SetAssocOrg;
-
 /** The L4 DRAM-cache controller. */
 class DramCacheController : private OrgServices
 {
@@ -271,16 +269,6 @@ class DramCacheController : private OrgServices
     bool stats_excluded_ = false;
 
     std::unique_ptr<OrgStrategy> org_;
-
-    /**
-     * Devirtualized view of org_ when the organization is
-     * set-associative — the overwhelmingly common case.  SetAssocOrg
-     * is `final`, so the timed read engine's plan/hit calls through
-     * this pointer bind statically (non-virtual, inlinable); the CA
-     * organization keeps the virtual path.  Null for any other
-     * organization.
-     */
-    SetAssocOrg *setassoc_ = nullptr;
 
     /**
      * Every transaction ever created, destroyed only with the

@@ -17,7 +17,6 @@
 #include "common/trace_event/tracer.hpp"
 #include "dramcache/access_plan.hpp"
 #include "dramcache/controller.hpp"
-#include "dramcache/org_setassoc.hpp"
 
 namespace accord::dramcache
 {
@@ -41,13 +40,7 @@ DramCacheController::read(LineAddr line, ReadDone done,
         free_txns_.pop_back();
     }
 
-    // Devirtualized fast path: SetAssocOrg is final, so calls through
-    // setassoc_ skip the vtable and inline.  Either way the plan is
-    // built straight into the transaction.
-    if (setassoc_ != nullptr)
-        setassoc_->planRead(line, txn->plan);
-    else
-        org_->planRead(line, txn->plan);
+    org_->planRead(line, txn->plan);
     txn->done = std::move(done);
     txn->start = eq.now();
     txn->trace = tracer_ != nullptr ? trace : trace_event::kNoTxn;
@@ -187,10 +180,7 @@ DramCacheController::finishHit(ReadTxn *txn, unsigned way,
     hit.probeIndex = probe_index;
     hit.timed = true;
     hit.trace = txn->trace;
-    if (setassoc_ != nullptr)
-        setassoc_->onReadHit(hit);
-    else
-        org_->onReadHit(hit);
+    org_->onReadHit(hit);
 
     --in_flight;
     if (txn->trace != trace_event::kNoTxn) {
@@ -213,20 +203,14 @@ DramCacheController::finishHit(ReadTxn *txn, unsigned way,
 
     // Post-completion work (e.g. the CA swap-to-primary) runs off the
     // critical path, after the requester has its data.
-    if (setassoc_ != nullptr)
-        setassoc_->afterReadHit(hit); // the base no-op
-    else
-        org_->afterReadHit(hit);
+    org_->afterReadHit(hit);
 }
 
 ACCORD_HOT void
 DramCacheController::missConfirmed(ReadTxn *txn, Cycle when)
 {
     stats_.readHits.miss();
-    if (setassoc_ != nullptr)
-        setassoc_->onReadMiss(txn->plan.ref);
-    else
-        org_->onReadMiss(txn->plan.ref);
+    org_->onReadMiss(txn->plan.ref);
     stats_.nvmReads.inc();
 
     if (txn->trace != trace_event::kNoTxn) {
@@ -254,12 +238,8 @@ DramCacheController::missConfirmed(ReadTxn *txn, Cycle when)
 
         // Fill off the critical path: functional install now, the
         // array writes and any victim writeback posted.
-        if (setassoc_ != nullptr)
-            setassoc_->installAfterMiss(txn->plan.ref.line,
-                                        /* timed */ true, txn->trace);
-        else
-            org_->installAfterMiss(txn->plan.ref.line, /* timed */ true,
-                                   txn->trace);
+        org_->installAfterMiss(txn->plan.ref.line, /* timed */ true,
+                               txn->trace);
         releaseTxn(txn);
     }, txn->trace);
 }

@@ -27,7 +27,7 @@ flagValue(const char *arg, const char *flag)
 } // namespace
 
 Reporter::Reporter(int argc, char **argv, const char *title,
-                   const char *paper_ref)
+                   const char *paper_ref, std::uint64_t default_scale)
     : report_(title, paper_ref)
 {
     for (int i = 1; i < argc; ++i) {
@@ -51,7 +51,7 @@ Reporter::Reporter(int argc, char **argv, const char *title,
             report_.setParam(key, arg.substr(arg.find('=') + 1));
     }
 
-    const std::uint64_t scale = cli_.getUint("scale", 128);
+    const std::uint64_t scale = cli_.getUint("scale", default_scale);
     const std::uint64_t seed = cli_.getUint("seed", 1);
     report_.setParam("scale", std::to_string(scale));
     report_.setParam("seed", std::to_string(seed));

@@ -17,6 +17,7 @@
 #ifndef ACCORD_SIM_REPORT_REPORTER_HPP
 #define ACCORD_SIM_REPORT_REPORTER_HPP
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -34,9 +35,12 @@ class Reporter
      * Parse `--json=<path>` / `--csv=<path>` out of argv, feed the
      * remaining key=value tokens to the Config, print the bench
      * banner, and seed the report with the run parameters.
+     * `default_scale` is the scale the bench's runs use when the CLI
+     * has no scale= (SystemConfig's 128 unless the bench forces one);
+     * the banner and params.scale name it.
      */
     Reporter(int argc, char **argv, const char *title,
-             const char *paper_ref);
+             const char *paper_ref, std::uint64_t default_scale = 128);
 
     Reporter(const Reporter &) = delete;
     Reporter &operator=(const Reporter &) = delete;

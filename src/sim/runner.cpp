@@ -39,8 +39,6 @@ applyCliOverrides(SystemConfig &config, const Config &cli)
     // Zero scale, cores or mlp would crash deep inside the run
     // instead: scale divides the cache size, and a run without cores
     // or outstanding misses cannot make progress.
-    if (cli.getBool("full", false))
-        config.scale = 1;
     config.scale = cli.getUint("scale", config.scale, 1);
     config.numCores = cli.getUint32("cores", config.numCores, 1);
     config.timedPerCore = cli.getUint("timed", config.timedPerCore);
@@ -119,7 +117,7 @@ canonicalConfigSpec(const SystemConfig &config)
 
     // Appended only when forced off Auto so reports produced before
     // the storage layer stay byte-identical.  The backend never
-    // changes results (check_refactor_equivalence.sh proves dense and
+    // changes results (tools/check_equivalence.py proves dense and
     // paged runs identical at rtol 0), but a forced backend is still
     // part of the run's identity for footprint comparisons.
     if (config.stateBackend != dramcache::StateBackend::Auto) {

@@ -32,8 +32,8 @@ double weightedSpeedup(const SystemMetrics &config,
 /**
  * Apply common CLI overrides (key=value) to a config:
  * scale=, cores=, timed=, warm=, measure=, seed=, mlp=, jobs=,
- * epoch= (metric snapshot period; 0 disables epoch sampling),
- * full=1 (full sets scale=1: paper-sized 4GB cache and footprints).
+ * epoch= (metric snapshot period; 0 disables epoch sampling).
+ * scale=1 is the paper-sized 4GB cache and footprints.
  * jobs= sets the sweep worker count (0 = all hardware threads,
  * jobs=1 = the historical serial path); results never depend on it.
  * trace= writes a Chrome trace-event JSON of the timed phase and

@@ -226,7 +226,7 @@ recordFig12Smoke(const std::string &backend)
 // fig12 smoke sweep must serialize to byte-identical run reports with
 // the backend forced dense and forced paged — every metric of every
 // run, not just headline speedups.  This is the in-process twin of
-// the state_backend legs of tools/check_refactor_equivalence.sh.
+// the state_backend legs of tools/check_equivalence.py.
 TEST(StorageEquivalence, Fig12SmokeReportBytesIdenticalDenseVsPaged)
 {
     EXPECT_EQ(recordFig12Smoke("dense"), recordFig12Smoke("paged"));

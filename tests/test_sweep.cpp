@@ -109,7 +109,7 @@ TEST(SweepDeterminism, FourJobsMatchSerialFunctionalGrid)
 // smoke sweep recorded at jobs=1 and jobs=3 must yield byte-identical
 // run-report JSON — every metric of every run, not just the headline
 // speedups.  This is the in-process twin of CI's refactor-equivalence
-// gate (tools/check_refactor_equivalence.sh, rtol 0).
+// gate (tools/check_equivalence.py --suite refactor, rtol 0).
 TEST(SweepDeterminism, ReportBytesIdenticalForOneAndThreeJobs)
 {
     const auto record = [](unsigned jobs) {

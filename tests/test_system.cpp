@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/report/reporter.hpp"
 #include "sim/runner.hpp"
 
 using namespace accord;
@@ -175,11 +176,35 @@ TEST(RunnerDeath, OutOfRangeOverridesNameTheKey)
 
 TEST(Runner, FullFlagSetsScaleOne)
 {
+    // scale=1 is the one spelling of full scale: full= is never read,
+    // so the scale keeps its default and checkConsumed rejects the key
+    // as a typo.
     Config cli;
     cli.parseArg("full=1");
     SystemConfig config;
     applyCliOverrides(config, cli);
-    EXPECT_EQ(config.scale, 1u);
+    EXPECT_EQ(config.scale, SystemConfig{}.scale);
+    EXPECT_EXIT(cli.checkConsumed(), ::testing::ExitedWithCode(1),
+                "'full=1' \\(never used");
+}
+
+TEST(Reporter, ParamsNameTheBenchDefaultScale)
+{
+    // A bench that forces its own scale (bench_gigascale runs at 1)
+    // must not record SystemConfig's 128 in params.scale; scale=
+    // still wins.
+    char prog[] = "bench";
+    char scale4[] = "scale=4";
+    char *plain[] = {prog};
+    char *forced[] = {prog, scale4};
+    report::Reporter at_default(1, plain, "t", "r",
+                                /* default_scale */ 1);
+    EXPECT_NE(at_default.report().toJson().find("\"scale\": \"1\""),
+              std::string::npos);
+    report::Reporter overridden(2, forced, "t", "r",
+                                /* default_scale */ 1);
+    EXPECT_NE(overridden.report().toJson().find("\"scale\": \"4\""),
+              std::string::npos);
 }
 
 TEST(Runner, BaselineCacheMemoizes)

@@ -27,10 +27,11 @@ Usage:
 
 ``--ignore-spec-key KEY`` (repeatable) drops ``KEY=...`` tokens from
 every canonical config spec (the ``configs`` values and each run's
-``spec``) and the matching ``params`` entries before comparing.  The refactor-equivalence gate uses it to
-prove a forced ``state_backend=`` leg byte-identical to its baseline:
-the backend token is the one *intended* spec difference, and every
-metric must still match at rtol 0.  Run ``host`` objects (the volatile
+``spec``) and the matching ``params`` entries before comparing
+(``normalize_specs``).  tools/check_equivalence.py uses it to prove a
+forced ``state_backend=`` leg byte-identical to its baseline: the
+backend token is the one *intended* spec difference, and every metric
+must still match at rtol 0.  Run ``host`` objects (the volatile
 partition) are never compared — only spec/metrics/epochs are.
 
 Exit status: 0 when the reports match, 1 when they differ, 2 when an
