@@ -24,6 +24,13 @@
  * (ACCORD_HAVE_ZLIB undefined) plain files still work; gzip input is
  * rejected with a clear fatal().
  *
+ * TraceSource replays a file, whole or as one of N stripes, and keeps a
+ * sparse seek index so skips cost what they keep.  decodeStripes()
+ * splits one decode of a file among all its stripes at once: the
+ * sampler's first pass (sample.hpp) uses it so that N cores striping
+ * one trace decode it once, not N times, and each core's TraceSource
+ * takes over the seek index that pass recorded for its stripe.
+ *
  * tools/convert_trace.py produces this format from ChampSim/gem5-style
  * text traces.
  */
@@ -34,6 +41,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/source.hpp"
@@ -117,6 +125,8 @@ class BinTraceReader
         LineAddr prevLine = 0;      ///< line the next delta applies to
         std::uint16_t cls = 0;      ///< class in force
         std::uint64_t records = 0;  ///< records before this point
+
+        bool operator==(const Mark &) const = default;
     };
 
     explicit BinTraceReader(const std::string &path);
@@ -139,6 +149,8 @@ class BinTraceReader
 
     /** Header record count (0 = unknown, e.g. gzip-streamed write). */
     std::uint64_t declaredCount() const { return declared_; }
+
+    const std::string &path() const { return path_; }
 
     std::uint64_t recordsRead() const { return records_; }
 
@@ -197,8 +209,9 @@ inline constexpr std::uint64_t kTraceSeekStride = 4096;
  * reader mark every kTraceSeekStride kept records.  skip() resumes at
  * the last mark at or before its target and decodes only the rest, so
  * a replay that passes over most of the trace pays for the records it
- * keeps.  Marks exist only where this source has already decoded, so
- * every record a seek passes over has passed the decoder's checks.
+ * keeps.  Marks exist only where this source, or a decodeStripes()
+ * pass handed to adoptSeekIndex(), has already decoded, so every
+ * record a seek passes over has passed the decoder's checks.
  */
 class TraceSource final : public TrafficSource
 {
@@ -220,8 +233,27 @@ class TraceSource final : public TrafficSource
     /** Records in the underlying file (header count; 0 = unknown). */
     std::uint64_t fileRecords() const { return reader_.declaredCount(); }
 
+    const std::string &path() const { return reader_.path(); }
+    unsigned stripeCount() const { return stripe_count_; }
+    unsigned stripeIndex() const { return stripe_index_; }
+
     /** Seek-index marks recorded so far. */
-    std::size_t seekMarks() const { return marks_.size(); }
+    const std::vector<BinTraceReader::Mark> &
+    seekMarks() const
+    {
+        return marks_;
+    }
+
+    /**
+     * Take over `marks`, this stripe's share of a decodeStripes() pass
+     * over the whole file, as the seek index: the marks this source
+     * would record decoding its whole stripe itself.
+     */
+    void
+    adoptSeekIndex(std::vector<BinTraceReader::Mark> marks)
+    {
+        marks_ = std::move(marks);
+    }
 
   private:
     /** File position of this stripe's kept record `kept`. */
@@ -247,6 +279,44 @@ class TraceSource final : public TrafficSource
     bool has_pending_ = false;
     std::vector<BinTraceReader::Mark> marks_;
 };
+
+/**
+ * Decode the trace at `path` once, split the way `stripe_count`
+ * TraceSources over it split it: keep(stripe, request) sees every
+ * record in file order with the stripe that keeps it.  Returns each
+ * stripe's seek index, mark for mark the one its TraceSource records
+ * while decoding the whole stripe, for adoptSeekIndex().  The decode
+ * runs through BinTraceReader, so every fatal check of a full pass
+ * fires here.
+ */
+template <class Keep>
+std::vector<std::vector<BinTraceReader::Mark>>
+decodeStripes(const std::string &path, unsigned stripe_count, Keep &&keep)
+{
+    BinTraceReader reader(path);
+    std::vector<std::vector<BinTraceReader::Mark>> marks(stripe_count);
+    // Record r goes to stripe r % stripe_count as kept record
+    // r / stripe_count; both are counted, not divided out.
+    const std::uint64_t group =
+        std::uint64_t(stripe_count) * kTraceSeekStride;
+    unsigned stripe = 0;
+    std::uint64_t phase = 0;  ///< position of the next record % group
+    Request req;
+    for (;;) {
+        // A stripe's mark precedes each kept record whose index is a
+        // multiple of kTraceSeekStride, and end-of-trace when the
+        // stripe's next index would be one.
+        if (phase < stripe_count)
+            marks[stripe].push_back(reader.mark());
+        if (!reader.next(req))
+            return marks;
+        keep(stripe, req);
+        if (++stripe == stripe_count)
+            stripe = 0;
+        if (++phase == group)
+            phase = 0;
+    }
+}
 
 } // namespace accord::trace
 

@@ -395,7 +395,7 @@ TEST(TraceSource, IndexedSkipEqualsDecodeOnlySkip)
             TraceSource indexed(path, false, stripes, stripes - 1);
             const auto want = drain(indexed);
             // The first pass left one mark per stride of kept records.
-            EXPECT_EQ(indexed.seekMarks(),
+            EXPECT_EQ(indexed.seekMarks().size(),
                       (want.size() + kTraceSeekStride - 1)
                           / kTraceSeekStride);
             ASSERT_TRUE(indexed.rewind());
@@ -404,6 +404,54 @@ TEST(TraceSource, IndexedSkipEqualsDecodeOnlySkip)
             TraceSource decode_only(path, false, stripes, stripes - 1);
             expectSkipsMatch(decode_only, want);
             EXPECT_EQ(decode_only.seekMarks(), indexed.seekMarks());
+        }
+        std::remove(path.c_str());
+    }
+}
+
+TEST(TraceSource, DecodeStripesMatchesEachStripesOwnPass)
+{
+    // 65536 records: stripe 0 of 1, 2 or 4 stripes ends where its next
+    // mark is due, so its index also holds the end-of-trace mark.
+    const auto recs = chunkEdgeRecords(65'536);
+    for (const bool gzip : {false, true}) {
+        if (gzip && !binTraceGzipAvailable())
+            continue;
+        const auto path = tracePath(gzip ? "stripes_gz" : "stripes");
+        writeRecords(path, recs, gzip);
+        for (unsigned stripes = 1; stripes <= 4; ++stripes) {
+            std::vector<std::vector<Request>> kept(stripes);
+            const auto marks = decodeStripes(
+                path, stripes, [&kept](unsigned stripe, const Request &req) {
+                    kept[stripe].push_back(req);
+                });
+            ASSERT_EQ(marks.size(), stripes);
+            for (unsigned index = 0; index < stripes; ++index) {
+                SCOPED_TRACE(::testing::Message()
+                             << (gzip ? "gzip" : "plain") << " stripe "
+                             << index << "/" << stripes);
+                TraceSource own(path, false, stripes, index);
+                const auto want = drain(own);
+                ASSERT_EQ(kept[index].size(), want.size());
+                for (std::size_t i = 0; i < want.size(); ++i) {
+                    ASSERT_EQ(kept[index][i].line, want[i].line) << i;
+                    ASSERT_EQ(kept[index][i].kind, want[i].kind) << i;
+                    ASSERT_EQ(kept[index][i].cls, want[i].cls) << i;
+                }
+                EXPECT_EQ(marks[index], own.seekMarks());
+                if (index == 0
+                    && recs.size() % (stripes * kTraceSeekStride) == 0) {
+                    EXPECT_EQ(marks[index].size(),
+                              want.size() / kTraceSeekStride + 1);
+                }
+
+                // A fresh source that adopts the stripe's share skips
+                // like the one that built its own index.
+                TraceSource adopted(path, false, stripes, index);
+                adopted.adoptSeekIndex(marks[index]);
+                expectSkipsMatch(adopted, want);
+                EXPECT_EQ(adopted.seekMarks(), own.seekMarks());
+            }
         }
         std::remove(path.c_str());
     }

@@ -13,11 +13,15 @@ comparison only feeds a later check.  Suites:
   bench_tab01_lookup_costs once.
 * ``stability`` (3): bench_tab06_hitrate at jobs=1, 3 and 1 writes
   byte-identical reports, the first within rtol 1e-4 of its baseline.
-* ``replay`` (4): tests/data/sample_trace.txt, converted plain and
+* ``replay`` (7): tests/data/sample_trace.txt, converted plain and
   gzipped, replays sampled to its baseline at rtol 0 (gzip skipped only
   under ``--zlib 0``); a re-run and a sampled sweep at jobs=1 vs 3 are
-  byte-identical.  Replays run from the trace's directory, so the
-  report's ``tracefile`` parameter is a bare file name.
+  byte-identical.  The sampled sweep (each core profiles its own
+  synthetic stream) and a 2-core sweep striping the trace (one shared
+  decode profiles both stripes, plain and gzipped) match baselines
+  recorded before that shared decode existed, at rtol 0.  Replays run
+  from the trace's directory, so the report's ``tracefile`` parameter
+  is a bare file name.
 
 Usage:
     tools/check_equivalence.py [--suite NAME]... [--build DIR] [--zlib 0|1]
@@ -52,10 +56,17 @@ REPLAY = ("workloads=libq", "tracefile=sample.trc", "warm=60",
 SAMPLED_SWEEP = SMOKE + (
     "source=synthetic(limit=32k)",
     "sample=window=512,clusters=4,rate=0.1,warmup=128,prewarm=2000")
+# Two cores on one stripe each of the sample trace, replayed whole.
+STRIPED_SWEEP = ("scale=4096", "cores=2", "warm=0", "measure=0",
+                 "source=trace(file=sample.trc,loop=0,stripe=1)",
+                 "sample=window=16,clusters=4,rate=0.25,warmup=8,prewarm=60",
+                 "jobs=1")
 CONVERT = (sys.executable, str(ROOT / "tools" / "convert_trace.py"),
            str(ROOT / "tests" / "data" / "sample_trace.txt"), "-o")
 TAB06 = "bench_tab06_hitrate"
 REPLAY_BASELINE = BASELINES / "bench_trace_replay.sample.json"
+SAMPLED_SWEEP_BASELINE = BASELINES / f"{TAB06}.sampled_sweep.json"
+STRIPED_SWEEP_BASELINE = BASELINES / f"{TAB06}.sampled_trace.json"
 
 
 class Check(NamedTuple):
@@ -116,11 +127,17 @@ SUITES = {
               "replay.json", REPLAY_BASELINE),
         Check("replay re-run byte-identical", "bench_trace_replay", REPLAY,
               "replay2.json", same_as="replay.json"),
-        Check("sampled sweep jobs=1", TAB06, SAMPLED_SWEEP + ("jobs=1",),
-              "sampled_sweep.j1.json"),
+        Check("sampled sweep jobs=1 vs baseline", TAB06,
+              SAMPLED_SWEEP + ("jobs=1",), "sampled_sweep.j1.json",
+              SAMPLED_SWEEP_BASELINE),
         Check("sampled sweep jobs=3 byte-identical", TAB06,
               SAMPLED_SWEEP + ("jobs=3",), "sampled_sweep.j3.json",
               same_as="sampled_sweep.j1.json"),
+        Check("striped trace sampled sweep vs baseline", TAB06,
+              STRIPED_SWEEP, "striped_sweep.json", STRIPED_SWEEP_BASELINE),
+        Check("gzip striped trace sampled sweep vs baseline", TAB06,
+              STRIPED_SWEEP, "striped_sweep_gz.json",
+              STRIPED_SWEEP_BASELINE, cwd="gz", needs_zlib=True),
         Check("gzip trace replay vs baseline", "bench_trace_replay",
               REPLAY, "replay_gz.json", REPLAY_BASELINE, cwd="gz",
               needs_zlib=True),
