@@ -185,24 +185,6 @@ RunProfiler::close(std::uint64_t position, Cycle cycles)
     open_ = false;
 }
 
-std::vector<double>
-RunProfiler::epochDeltas(const MetricSeries &series,
-                         const std::string &path)
-{
-    const auto &paths = series.paths();
-    if (std::find(paths.begin(), paths.end(), path) == paths.end())
-        return {};
-    std::vector<double> deltas;
-    deltas.reserve(series.size());
-    double prev = 0.0;
-    for (std::size_t epoch = 0; epoch < series.size(); ++epoch) {
-        const double value = series.value(epoch, path);
-        deltas.push_back(value - prev);
-        prev = value;
-    }
-    return deltas;
-}
-
 // ---------------------------------------------------------------------
 // FlightRecorder
 // ---------------------------------------------------------------------
@@ -242,7 +224,7 @@ FlightRecorder::~FlightRecorder()
     // A recorder destroyed mid-run (exception unwind) still closes its
     // stream cleanly at the last observed state.
     if (!finished_)
-        finish(last_sample_, MetricSeries{}, {});
+        finish(last_sample_);
     if (out_ != nullptr)
         std::fclose(out_);
 }
@@ -290,9 +272,7 @@ FlightRecorder::heartbeat(const HeartbeatSample &sample)
 }
 
 void
-FlightRecorder::finish(const HeartbeatSample &sample,
-                       const MetricSeries &epochs,
-                       const std::vector<std::string> &attr_paths)
+FlightRecorder::finish(const HeartbeatSample &sample)
 {
     if (finished_)
         return;
@@ -320,36 +300,6 @@ FlightRecorder::finish(const HeartbeatSample &sample,
     }
     phases += ']';
     line.raw("phases", phases);
-
-    if (!epochs.empty() && !attr_paths.empty()) {
-        std::string positions = "[";
-        for (const std::uint64_t position : epochs.positions()) {
-            if (positions.size() > 1)
-                positions += ',';
-            positions += std::to_string(position);
-        }
-        positions += ']';
-        line.raw("epoch_positions", positions);
-
-        std::string deltas = "{";
-        for (const std::string &path : attr_paths) {
-            const std::vector<double> values =
-                RunProfiler::epochDeltas(epochs, path);
-            if (values.empty())
-                continue;
-            if (deltas.size() > 1)
-                deltas += ',';
-            deltas += "\"" + jsonEscape(path) + "\":[";
-            for (std::size_t i = 0; i < values.size(); ++i) {
-                if (i > 0)
-                    deltas += ',';
-                deltas += canonicalNumber(values[i]);
-            }
-            deltas += ']';
-        }
-        deltas += '}';
-        line.raw("epoch_deltas", deltas);
-    }
 
     line.raw("host",
              hostJson(host.wallS, host.rssKb, host.peakRssKb,

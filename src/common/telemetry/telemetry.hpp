@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics/registry.hpp"
 #include "common/types.hpp"
 
 namespace accord::telemetry
@@ -124,10 +123,7 @@ std::uint64_t currentRssKb();
 
 /**
  * Per-phase attribution of a run: which phase consumed how many
- * progress units, simulated cycles, and host seconds — plus a reducer
- * turning the existing MetricSeries epoch snapshots into per-epoch
- * deltas so the end-of-run record carries a time-resolved series of
- * any counter path without new instrumentation.
+ * progress units, simulated cycles, and host seconds.
  */
 class RunProfiler
 {
@@ -151,13 +147,6 @@ class RunProfiler
     void close(std::uint64_t position, Cycle cycles);
 
     const std::vector<Phase> &phases() const { return phases_; }
-
-    /**
-     * Successive deltas of `path` across the series' epochs (first
-     * delta is from zero).  Empty when the series lacks the path.
-     */
-    static std::vector<double>
-    epochDeltas(const MetricSeries &series, const std::string &path);
 
   private:
     double wallNow() const;
@@ -205,14 +194,12 @@ class FlightRecorder
     void heartbeat(const HeartbeatSample &sample);
 
     /**
-     * Emit the final record (end-of-run totals, per-phase attribution,
-     * per-epoch deltas of `attr_paths` present in `epochs`) and close
-     * the stream.  Idempotent; the destructor calls it with whatever
-     * the last heartbeat saw if the caller never did.
+     * Emit the final record (end-of-run totals and per-phase
+     * attribution) and close the stream.  Idempotent; the destructor
+     * calls it with whatever the last heartbeat saw if the caller
+     * never did.
      */
-    void finish(const HeartbeatSample &sample,
-                const MetricSeries &epochs,
-                const std::vector<std::string> &attr_paths);
+    void finish(const HeartbeatSample &sample);
 
     RunProfiler &profiler() { return profiler_; }
 

@@ -19,9 +19,7 @@
  * deep) allocate on the heap, construct a std::function, materialize
  * a std::string, or make a virtual call on a base outside the
  * analyzer's allowlist (see docs/ANALYSIS.md for the rule catalog).
- * Under clang the marker is also visible in the AST as an annotate
- * attribute, so the libclang frontend and the portable frontend see
- * the same set of hot functions.
+ * Both markers expand to nothing; the analyzer finds them by name.
  *
  * ACCORD_HOT_ALLOW(reason) is the function-level escape hatch: it
  * keeps the function in the hot set but suppresses purity findings
@@ -29,14 +27,8 @@
  * `// accord-lint: allow(<rule>) <reason>` comment when only one
  * statement is exempt.
  */
-#if defined(__clang__)
-#define ACCORD_HOT [[clang::annotate("accord_hot")]]
-#define ACCORD_HOT_ALLOW(reason)                                        \
-    [[clang::annotate("accord_hot_allow: " reason)]]
-#else
 #define ACCORD_HOT
 #define ACCORD_HOT_ALLOW(reason)
-#endif
 
 namespace accord
 {

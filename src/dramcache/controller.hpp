@@ -8,7 +8,7 @@
  *  - the pure decision core (access_plan.hpp) turns a line address
  *    into a side-effect-free probe/transfer plan;
  *  - an Organization strategy (organization.hpp; set-associative or
- *    column-associative, resolved by name through the registry)
+ *    column-associative, chosen by a switch in makeOrganization())
  *    owns placement, install, and per-hit state updates;
  *  - this controller executes plans: untimed for warmRead()/
  *    warmWriteback(), and fully timed against the stacked-DRAM array

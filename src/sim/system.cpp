@@ -130,102 +130,86 @@ void
 System::warm()
 {
     if (recorder_)
-        recorder_->profiler().enterPhase("warm", telemetry_units_,
-                                         eq.now());
+        recorder_->profiler().enterPhase("warm", progress_, eq.now());
 
     // Auto quota: each source knows how much functional warmup makes
     // sense for it (enough footprint passes for the synthetic models,
     // none for bounded streams that warmup would consume).
-    std::vector<std::uint64_t> remaining(config_.numCores);
+    std::vector<std::uint64_t> quota(config_.numCores);
     for (unsigned core = 0; core < config_.numCores; ++core) {
-        remaining[core] = config_.warmPerCore > 0
+        quota[core] = config_.warmPerCore > 0
             ? config_.warmPerCore
             : sources[core]->defaultWarmQuota();
     }
-
-    // Fine-grained round-robin so cores interleave in the sets the way
-    // concurrent execution would.
-    bool any = true;
-    constexpr unsigned chunk = 8;
-    while (any) {
-        any = false;
-        for (unsigned core = 0; core < config_.numCores; ++core) {
-            std::uint64_t n =
-                std::min<std::uint64_t>(chunk, remaining[core]);
-            while (n > 0 && !sources[core]->exhausted()) {
-                funcAccess(core);
-                --n;
-                --remaining[core];
-            }
-            if (sources[core]->exhausted())
-                remaining[core] = 0;
-            any = any || remaining[core] > 0;
-        }
-        maybeHeartbeat("warm", telemetry_units_);
-    }
+    roundRobin("warm", std::move(quota));
 }
 
 void
 System::measureFunctional()
 {
     if (recorder_)
-        recorder_->profiler().enterPhase("measure", telemetry_units_,
-                                         eq.now());
+        recorder_->profiler().enterPhase("measure", progress_, eq.now());
 
     // A bounded source with measure=0 runs to exhaustion (trace and
     // sampled replays); an unbounded one needs an explicit budget.
-    std::vector<std::uint64_t> remaining(config_.numCores);
-    bool any = false;
+    std::vector<std::uint64_t> quota(config_.numCores);
     for (unsigned core = 0; core < config_.numCores; ++core) {
         if (config_.measurePerCore > 0)
-            remaining[core] = config_.measurePerCore;
+            quota[core] = config_.measurePerCore;
         else if (sources[core]->bounded())
-            remaining[core] = ~std::uint64_t(0);
-        if (sources[core]->exhausted())
-            remaining[core] = 0;
-        any = any || remaining[core] > 0;
+            quota[core] = ~std::uint64_t(0);
     }
+    roundRobin("measure", std::move(quota));
+}
 
-    std::uint64_t done = 0;
+void
+System::roundRobin(const char *phase, std::vector<std::uint64_t> quota)
+{
+    // Fine-grained round-robin so cores interleave in the sets the way
+    // concurrent execution would.
     constexpr unsigned chunk = 8;
+    bool any = true;
     while (any) {
         any = false;
         for (unsigned core = 0; core < config_.numCores; ++core) {
-            std::uint64_t n =
-                std::min<std::uint64_t>(chunk, remaining[core]);
+            std::uint64_t n = std::min<std::uint64_t>(chunk, quota[core]);
             while (n > 0 && !sources[core]->exhausted()) {
+                funcAccess(core);
                 --n;
-                --remaining[core];
-                ++accesses_executed_;
-                // Sampled warmup-replay accesses update cache state
-                // but do not advance the measured-epoch position.
-                if (funcAccess(core))
-                    ++done;
+                --quota[core];
             }
             if (sources[core]->exhausted())
-                remaining[core] = 0;
-            any = any || remaining[core] > 0;
+                quota[core] = 0;
+            any = any || quota[core] > 0;
         }
-        maybeSampleEpoch(done);
-        maybeHeartbeat("measure", telemetry_units_);
+        sample(phase);
     }
 }
 
-void
-System::maybeSampleEpoch(std::uint64_t position)
+std::uint64_t
+System::completedReads() const
 {
-    if (config_.epochEvery == 0 || position < next_epoch_at_)
-        return;
-    epoch_series_.record(position, registry_.snapshot());
-    next_epoch_at_ = position + config_.epochEvery;
+    std::uint64_t completed = 0;
+    for (const auto &core : cores)
+        completed += core->completedReads();
+    return completed;
 }
 
 void
-System::maybeHeartbeat(const char *phase, std::uint64_t position)
+System::sample(const char *phase)
 {
-    if (!recorder_ || !recorder_->due(position))
-        return;
-    recorder_->heartbeat(telemetrySample(phase, position));
+    // Functional runs advance by the accesses funcAccess counts, timed
+    // runs by the demand reads the cores complete (no cores exist
+    // before the timed phase).
+    const std::uint64_t completed = completedReads();
+    const std::uint64_t measured = measured_ + completed;
+    if (config_.epochEvery > 0 && measured >= next_epoch_at_) {
+        epoch_series_.record(measured, registry_.snapshot());
+        next_epoch_at_ = measured + config_.epochEvery;
+    }
+    const std::uint64_t position = progress_ + completed;
+    if (recorder_ && recorder_->due(position))
+        recorder_->heartbeat(telemetrySample(phase, position));
 }
 
 telemetry::HeartbeatSample
@@ -252,7 +236,7 @@ System::telemetrySample(const char *phase, std::uint64_t position) const
     return s;
 }
 
-bool
+void
 System::funcAccess(unsigned core)
 {
     const trace::Request req = sources[core]->next();
@@ -266,16 +250,18 @@ System::funcAccess(unsigned core)
         cache_->warmRead(req.line);
     if (req.warmup)
         cache_->endStatsExclusion();
-    ++telemetry_units_;
-    return !req.warmup;
+    ++progress_;
+    // Sampled warmup-replay accesses update cache state but do not
+    // advance the measured position.
+    if (!req.warmup)
+        ++measured_;
 }
 
 void
 System::runTimed()
 {
     if (recorder_)
-        recorder_->profiler().enterPhase("timed", telemetry_units_,
-                                         eq.now());
+        recorder_->profiler().enterPhase("timed", progress_, eq.now());
     cores.clear();
     for (unsigned core = 0; core < config_.numCores; ++core) {
         CoreParams params;
@@ -298,41 +284,20 @@ System::runTimed()
         }
         return true;
     };
-    // Telemetry-only tick work is throttled to every 256 executed
-    // events so an enabled recorder stays within its <=1% overhead
-    // contract.  The stride keys on eq.executed() — deterministic
-    // simulation state — so heartbeat positions are still identical
-    // for any jobs= count; epoch sampling keeps its exact historical
-    // per-tick cadence (report stability).
-    constexpr std::uint64_t kTelemetryTickStride = 256;
-    const auto tick = [this, &all_done] {
-        const bool epoch_tick = config_.epochEvery > 0;
-        const bool telem_tick = recorder_ != nullptr
-            && eq.executed() % kTelemetryTickStride == 0;
-        if (epoch_tick || telem_tick) {
-            std::uint64_t completed = 0;
-            for (const auto &core : cores)
-                completed += core->completedReads();
-            if (epoch_tick)
-                maybeSampleEpoch(completed);
-            // Timed heartbeats key on retired demand reads — the
-            // tick runs between events, so the first stride boundary
-            // past the cadence is a deterministic event boundary.
-            if (telem_tick)
-                maybeHeartbeat("timed", telemetry_units_ + completed);
-        }
+    // Sampling runs on every 256th executed event, so an enabled
+    // recorder stays within its <=1% overhead contract.  The stride
+    // keys on eq.executed() -- deterministic simulation state -- and
+    // the runner ticks between events, so every sample lands on the
+    // same event boundary for any jobs= count.
+    constexpr std::uint64_t kSampleStride = 256;
+    eq.runUntil([this, &all_done] {
+        if (eq.executed() % kSampleStride == 0)
+            sample("timed");
         return all_done();
-    };
-    eq.runUntil(tick);
+    });
     if (!all_done())
         panic("timed phase deadlocked: event queue drained with "
               "unfinished cores");
-    if (recorder_) {
-        std::uint64_t completed = 0;
-        for (const auto &core : cores)
-            completed += core->completedReads();
-        telemetry_units_ += completed;
-    }
 }
 
 SystemMetrics
@@ -340,9 +305,11 @@ System::run()
 {
     warm();
     cache_->resetStats();
+    const std::uint64_t warmed = progress_;
 
     // Epoch positions count measurement-phase progress only; the
     // first sample lands once epochEvery units have elapsed.
+    measured_ = 0;
     next_epoch_at_ = config_.epochEvery;
 
     if (config_.runTimed)
@@ -352,7 +319,7 @@ System::run()
 
     SystemMetrics m;
     m.eventsExecuted = eq.executed();
-    m.accessesExecuted = accesses_executed_;
+    m.accessesExecuted = progress_ - warmed;
     m.eqOccupancyPeak = eq.occupancyPeak();
     m.eqOverflowSpills = eq.overflowSpills();
     m.cacheStats = cache_->stats();
@@ -382,14 +349,11 @@ System::run()
         tracer_->writeFile(m.traceJson);
     }
 
-    if (recorder_) {
-        // Per-epoch hit-attribution rides on the existing epoch
-        // series when epoch= sampling was on; a run shorter than one
-        // heartbeat interval still gets exactly this final record.
-        recorder_->finish(telemetrySample("end", telemetry_units_),
-                          epoch_series_,
-                          {"l4.lookup.hits", "l4.lookup.total"});
-    }
+    // A run shorter than one heartbeat interval still gets exactly
+    // this final record.
+    if (recorder_)
+        recorder_->finish(
+            telemetrySample("end", progress_ + completedReads()));
     return m;
 }
 

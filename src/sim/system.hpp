@@ -3,12 +3,12 @@
  * Full-system assembly: N cores -> DRAM cache -> NVM main memory.
  *
  * A System owns one experiment run.  It builds one TrafficSource per
- * core through the source registry (identical streams for every cache
- * configuration given the same seed and spec), optionally wraps each
- * in the SimPoint-style sampler, warms the cache functionally, and
- * then either measures functional statistics (hit rate, way-prediction
- * accuracy, transfer counts) over the stream or runs the timed phase
- * to obtain per-core IPC for weighted speedup.
+ * core with trace::makeTrafficSource (identical streams for every
+ * cache configuration given the same seed and spec), optionally wraps
+ * each in the SimPoint-style sampler, warms the cache functionally,
+ * and then either measures functional statistics (hit rate,
+ * way-prediction accuracy, transfer counts) over the stream or runs
+ * the timed phase to obtain per-core IPC for weighted speedup.
  */
 
 #ifndef ACCORD_SIM_SYSTEM_HPP
@@ -118,9 +118,10 @@ struct SystemConfig
     /**
      * Snapshot the metric registry every this many demand accesses
      * (functional runs) or completed demand reads (timed runs) during
-     * the measurement phase, into SystemMetrics::epochs.  0 (the
-     * default) disables epoch sampling entirely — no snapshots, no
-     * overhead.
+     * the measurement phase, into SystemMetrics::epochs.  Each sample
+     * lands on the first sampling point at or past its epoch: the end
+     * of a round-robin round, or a 256-event boundary when timed.  0
+     * (the default) disables epoch sampling entirely.
      */
     std::uint64_t epochEvery = 0;
 
@@ -273,17 +274,23 @@ class System
     void runTimed();
 
     /**
-     * One functional access for a core.  Returns false when the
-     * access carried Request::warmup and was therefore excluded from
-     * measured statistics.
+     * Functional accesses in rounds of up to 8 per core until every
+     * core has spent its quota or run dry, sampling after each round.
      */
-    bool funcAccess(unsigned core);
+    void roundRobin(const char *phase, std::vector<std::uint64_t> quota);
 
-    /** Record an epoch sample if `position` crossed the next epoch. */
-    void maybeSampleEpoch(std::uint64_t position);
+    /** One functional access for a core. */
+    void funcAccess(unsigned core);
 
-    /** Emit a telemetry heartbeat if `position` crossed the cadence. */
-    void maybeHeartbeat(const char *phase, std::uint64_t position);
+    /** Demand reads the timed cores have completed (0 before timing). */
+    std::uint64_t completedReads() const;
+
+    /**
+     * The one sampling point: records an epoch snapshot once the
+     * measured position crosses the next epoch, and a heartbeat once
+     * the progress position crosses the telemetry cadence.
+     */
+    void sample(const char *phase);
 
     /** Snapshot the canonical heartbeat gauges at `position`. */
     telemetry::HeartbeatSample
@@ -293,15 +300,23 @@ class System
     EventQueue eq;
     MetricRegistry registry_;
     MetricSeries epoch_series_;
-    std::uint64_t next_epoch_at_ = 0;
+
+    /** Unarmed (never reached) until the measurement phase starts. */
+    std::uint64_t next_epoch_at_ = ~std::uint64_t(0);
     std::unique_ptr<telemetry::FlightRecorder> recorder_;
 
     /**
-     * Telemetry progress units consumed so far (warm + measured
-     * accesses; timed completed reads are added as the tick observes
-     * them).  Advanced only on deterministic simulation progress.
+     * Functional accesses executed so far, warm and measured, sampled
+     * warmup replay included.  With the timed cores' completed reads
+     * on top, this is the telemetry progress position.
      */
-    std::uint64_t telemetry_units_ = 0;
+    std::uint64_t progress_ = 0;
+
+    /**
+     * Functional accesses since run() reset it after warm, sampled
+     * warmup replay excluded: the functional epoch position.
+     */
+    std::uint64_t measured_ = 0;
     std::unique_ptr<trace_event::Tracer> tracer_;
     std::unique_ptr<nvm::NvmSystem> nvm;
     std::unique_ptr<dramcache::DramCacheController> cache_;
@@ -309,9 +324,6 @@ class System
     std::vector<const trace::WorkloadSpec *> assignment;
     std::vector<std::unique_ptr<trace::TrafficSource>> sources;
     std::vector<std::unique_ptr<CoreModel>> cores;
-
-    /** Measurement-phase access count (SystemMetrics::accessesExecuted). */
-    std::uint64_t accesses_executed_ = 0;
 };
 
 } // namespace accord::sim

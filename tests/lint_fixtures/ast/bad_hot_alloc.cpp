@@ -3,11 +3,7 @@
 // family, and the std::make_* helpers.
 // expect: hot-alloc
 
-#if defined(__clang__)
-#define ACCORD_HOT [[clang::annotate("accord_hot")]]
-#else
 #define ACCORD_HOT
-#endif
 
 #include <cstdlib>
 #include <memory>

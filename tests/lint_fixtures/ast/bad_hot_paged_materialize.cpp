@@ -4,11 +4,7 @@
 // from a hot function puts page allocation on the timed read path.
 // expect: hot-paged-materialize
 
-#if defined(__clang__)
-#define ACCORD_HOT [[clang::annotate("accord_hot")]]
-#else
 #define ACCORD_HOT
-#endif
 
 namespace fixture
 {

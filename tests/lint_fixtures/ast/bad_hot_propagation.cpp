@@ -4,11 +4,7 @@
 // caller with a "via <helper>" detail.
 // expect: hot-alloc
 
-#if defined(__clang__)
-#define ACCORD_HOT [[clang::annotate("accord_hot")]]
-#else
 #define ACCORD_HOT
-#endif
 
 namespace fixture
 {

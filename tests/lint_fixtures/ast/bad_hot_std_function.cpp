@@ -4,11 +4,7 @@
 // lambda assigned to a std::function-typed parameter variable.
 // expect: hot-std-function
 
-#if defined(__clang__)
-#define ACCORD_HOT [[clang::annotate("accord_hot")]]
-#else
 #define ACCORD_HOT
-#endif
 
 #include <functional>
 

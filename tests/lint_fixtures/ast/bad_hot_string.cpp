@@ -3,11 +3,7 @@
 // per-event path).
 // expect: hot-string
 
-#if defined(__clang__)
-#define ACCORD_HOT [[clang::annotate("accord_hot")]]
-#else
 #define ACCORD_HOT
-#endif
 
 #include <string>
 

@@ -4,11 +4,7 @@
 // devirtualized or explicitly allowed).
 // expect: hot-virtual
 
-#if defined(__clang__)
-#define ACCORD_HOT [[clang::annotate("accord_hot")]]
-#else
 #define ACCORD_HOT
-#endif
 
 namespace fixture
 {

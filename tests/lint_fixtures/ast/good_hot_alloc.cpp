@@ -3,11 +3,7 @@
 // explicitly allowed amortized arena-growth make_unique stay silent.
 // expect-clean
 
-#if defined(__clang__)
-#define ACCORD_HOT [[clang::annotate("accord_hot")]]
-#else
 #define ACCORD_HOT
-#endif
 
 #include <memory>
 #include <vector>

@@ -5,11 +5,7 @@
 // accord-lint allow with its justification.
 // expect-clean
 
-#if defined(__clang__)
-#define ACCORD_HOT [[clang::annotate("accord_hot")]]
-#else
 #define ACCORD_HOT
-#endif
 
 namespace fixture
 {

@@ -4,14 +4,8 @@
 // its allocations.
 // expect-clean
 
-#if defined(__clang__)
-#define ACCORD_HOT [[clang::annotate("accord_hot")]]
-#define ACCORD_HOT_ALLOW(reason)                                        \
-    [[clang::annotate("accord_hot_allow: " reason)]]
-#else
 #define ACCORD_HOT
 #define ACCORD_HOT_ALLOW(reason)
-#endif
 
 namespace fixture
 {

@@ -4,11 +4,7 @@
 // existing std::function.
 // expect-clean
 
-#if defined(__clang__)
-#define ACCORD_HOT [[clang::annotate("accord_hot")]]
-#else
 #define ACCORD_HOT
-#endif
 
 #include <functional>
 #include <utility>

@@ -3,11 +3,7 @@
 // to const char* and integer ids.
 // expect-clean
 
-#if defined(__clang__)
-#define ACCORD_HOT [[clang::annotate("accord_hot")]]
-#else
 #define ACCORD_HOT
-#endif
 
 #include <string>
 

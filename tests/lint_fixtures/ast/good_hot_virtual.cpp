@@ -4,11 +4,7 @@
 // never dispatches.
 // expect-clean
 
-#if defined(__clang__)
-#define ACCORD_HOT [[clang::annotate("accord_hot")]]
-#else
 #define ACCORD_HOT
-#endif
 
 namespace fixture
 {

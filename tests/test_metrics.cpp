@@ -363,6 +363,41 @@ TEST(SystemMetrics, FinalSnapshotAndEpochSeries)
     EXPECT_EQ(m.epochs.paths().size(), m.finalMetrics.size());
 }
 
+TEST(SystemMetrics, TimedEpochSeriesLandsOnTheSampleStride)
+{
+    sim::SystemConfig config;
+    config.workload = "libq";
+    config.scale = 4096;
+    config.numCores = 2;
+    config.warmPerCore = 2000;
+    config.timedPerCore = 1500;
+    config.epochEvery = 500;
+
+    const sim::SystemMetrics m = sim::runSystem(config);
+    ASSERT_FALSE(m.epochs.empty());
+
+    // Timed samples land on the first 256-event boundary at or past
+    // each epoch: every gap spans at least N completed reads, and each
+    // position is the cores' completed-read total at its snapshot.
+    const auto &positions = m.epochs.positions();
+    EXPECT_GE(positions.front(), config.epochEvery);
+    for (std::size_t i = 1; i < positions.size(); ++i)
+        EXPECT_GE(positions[i] - positions[i - 1], config.epochEvery);
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+        EXPECT_EQ(m.epochs.value(i, "core0.completed")
+                      + m.epochs.value(i, "core1.completed"),
+                  static_cast<double>(positions[i]));
+    }
+    EXPECT_LE(static_cast<double>(positions.back()),
+              m.finalMetrics.at("core0.completed")
+                  + m.finalMetrics.at("core1.completed"));
+
+    std::vector<std::string> final_paths;
+    for (const auto &entry : m.finalMetrics.values())
+        final_paths.push_back(entry.first);
+    EXPECT_EQ(m.epochs.paths(), final_paths);
+}
+
 TEST(SystemMetrics, EpochSamplingOffByDefault)
 {
     sim::SystemConfig config;

@@ -187,26 +187,6 @@ TEST(FlightRecorder, DestructorClosesAnUnfinishedStream)
     std::remove(path.c_str());
 }
 
-TEST(RunProfiler, EpochDeltasFromCumulativeSeries)
-{
-    MetricRegistry registry;
-    double counter = 0.0;
-    registry.addGauge("unit.counter", [&counter] { return counter; });
-    MetricSeries series;
-    counter = 5.0;
-    series.record(100, registry.snapshot());
-    counter = 12.0;
-    series.record(200, registry.snapshot());
-
-    const std::vector<double> deltas =
-        telemetry::RunProfiler::epochDeltas(series, "unit.counter");
-    ASSERT_EQ(deltas.size(), 2u);
-    EXPECT_DOUBLE_EQ(deltas[0], 5.0);
-    EXPECT_DOUBLE_EQ(deltas[1], 7.0);
-    EXPECT_TRUE(telemetry::RunProfiler::epochDeltas(series, "missing")
-                    .empty());
-}
-
 // --- EventQueue telemetry counters ---------------------------------
 
 TEST(EventQueueTelemetry, OccupancyPeakTracksHighWater)
@@ -273,6 +253,26 @@ TEST(SystemTelemetry, DisabledRunWritesNothingAndStaysNeutral)
     EXPECT_EQ(a.eqOverflowSpills, b.eqOverflowSpills);
     EXPECT_FALSE(std::ifstream(telemetryConfig("").telemetryPath)
                      .is_open());
+    std::remove(path.c_str());
+}
+
+TEST(SystemTelemetry, EpochsAndTelemetryTogetherStayNeutral)
+{
+    // Both samplers share one sampling point in the timed loop; with
+    // both on, the simulated outcome matches a run with both off.
+    const std::string path =
+        testing::TempDir() + "accord_telem_epochs.jsonl";
+    sim::SystemConfig on = telemetryConfig(path);
+    on.epochEvery = 100;
+    const sim::SystemMetrics a = sim::runSystem(telemetryConfig(""));
+    const sim::SystemMetrics b = sim::runSystem(on);
+
+    EXPECT_FALSE(b.epochs.empty());
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.coreIpc, b.coreIpc);
+    EXPECT_DOUBLE_EQ(a.hitRate, b.hitRate);
+    EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
+    EXPECT_EQ(a.eqOccupancyPeak, b.eqOccupancyPeak);
     std::remove(path.c_str());
 }
 

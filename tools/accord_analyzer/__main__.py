@@ -19,9 +19,8 @@ Four rule families over one shared model (model.py -> rules.py):
                        the plan core (lookup-switch), and
                        std::priority_queue (priority-queue)
 
-Frontends: `portable` (pure Python, canonical, generates the committed
-baseline and gates ctest/CI) and `clang` (libclang via clang.cindex,
-CI-informational; requires python3-clang + libclang on the host).
+The frontend (portable.py) is pure Python: it builds the model from
+source text alone, generates the committed baseline and gates ctest/CI.
 
 Scope: hot + metric rules run over src/; determinism and convention
 rules also cover bench/, examples/ and tests/ (minus
@@ -67,22 +66,12 @@ def discover(root):
     return sorted(det_scope), src_scope, det_scope
 
 
-def analyze_portable(root, files):
+def analyze(root, files):
     parsed = []
     for rel in files:
         text = (root / rel).read_text(encoding="utf-8")
         parsed.append(portable.parse_file(rel, text))
     return portable.build_model(parsed)
-
-
-def analyze_clang(root, files, compile_commands):
-    try:
-        import clangfe
-    except ImportError as exc:
-        print(f"error: clang frontend unavailable: {exc}",
-              file=sys.stderr)
-        raise SystemExit(2)
-    return clangfe.build_model(root, files, compile_commands)
 
 
 def main(argv=None):
@@ -92,12 +81,6 @@ def main(argv=None):
                     "metric completeness, conventions")
     ap.add_argument("--root", default=".",
                     help="repository root (default: cwd)")
-    ap.add_argument("--compile-commands",
-                    default="build/compile_commands.json",
-                    help="compilation database (clang frontend only)")
-    ap.add_argument("--frontend", default="auto",
-                    choices=("auto", "portable", "clang"),
-                    help="auto = portable (the canonical frontend)")
     ap.add_argument("--baseline", default=None,
                     help=f"baseline path (default: {DEFAULT_BASELINE})")
     ap.add_argument("--update-baseline", action="store_true",
@@ -141,13 +124,7 @@ def main(argv=None):
         print(f"error: no sources found under {root}", file=sys.stderr)
         return 2
 
-    frontend = args.frontend
-    if frontend == "auto":
-        frontend = "portable"
-    if frontend == "portable":
-        model = analyze_portable(root, files)
-    else:
-        model = analyze_clang(root, files, args.compile_commands)
+    model = analyze(root, files)
 
     if args.list_hot:
         seen = set()
@@ -189,7 +166,7 @@ def main(argv=None):
         print(f"STALE {file}: [{rule}] {context}: {detail} "
               f"(fixed? refresh the baseline)")
     status = "clean" if not (new or stale) else "FAIL"
-    print(f"analyzer[{frontend}]: {len(files)} files, "
+    print(f"analyzer: {len(files)} files, "
           f"{len(findings)} findings ({len(new)} new, "
           f"{len(stale)} stale) vs {baseline_path.name} -> {status}")
     return 0 if not (new or stale) else 1

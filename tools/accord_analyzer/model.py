@@ -1,11 +1,10 @@
-"""Semantic model shared by the analyzer's two frontends.
+"""Semantic model between the analyzer's frontend and its rules.
 
-Both the portable C++ frontend (portable.py) and the libclang frontend
-(clangfe.py) reduce a translation unit to the same small vocabulary of
-facts; rules.py then evaluates every rule against the merged model, so
-the two frontends cannot drift on rule LOGIC -- only on extraction
-fidelity.  Finding keys are line-number-free so the committed baseline
-survives unrelated edits.
+The frontend (portable.py) reduces each translation unit to a small
+vocabulary of facts; rules.py then evaluates every rule against the
+merged model, so extraction and rule logic stay separate.  Finding
+keys are line-number-free so the committed baseline survives
+unrelated edits.
 """
 
 from dataclasses import dataclass, field

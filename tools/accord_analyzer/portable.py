@@ -6,10 +6,8 @@ second phase walks function bodies with whole-tree knowledge (function
 aliases, functions taking std::function parameters, class hierarchies)
 to extract the operations the rules consume.
 
-This frontend is the CANONICAL one: it runs in any environment with a
-Python interpreter, generates the committed baseline, and is what the
-ctest gate executes.  The libclang frontend (clangfe.py) extracts the
-same model from the real AST and is diffed against this one in CI.
+It runs in any environment with a Python interpreter, generates the
+committed baseline, and is what the ctest gate executes.
 
 It is a recognizer for the repository's house style, not a full C++
 parser; the AST fixtures under tests/lint_fixtures/ast/ pin exactly

@@ -1,10 +1,9 @@
 """Rule evaluation over the shared semantic model.
 
-Frontend-independent: both the portable and the libclang frontends
-produce a model.Model, and every rule decision -- hot-path purity with
-one-level propagation, determinism, metric completeness, the
-path-scoped convention bans -- lives here so the frontends cannot
-disagree on POLICY, only on extraction.
+The frontend (portable.py) produces a model.Model, and every rule
+decision -- hot-path purity with one-level propagation, determinism,
+metric completeness, the path-scoped convention bans -- lives here,
+apart from extraction.
 """
 
 from model import (ALWAYS_CHECKED_STRUCTS, Finding, OP_RULE,

@@ -41,8 +41,7 @@ KNOWN_KEYS = {
     "hdr": {"t", "schema", "units", "interval", "total_units", "spec",
             "volatile", "volatile_container"},
     "hb": {"t", "seq", "host"} | GAUGE_KEYS,
-    "end": {"t", "seq", "host", "phases", "epoch_positions",
-            "epoch_deltas"} | GAUGE_KEYS,
+    "end": {"t", "seq", "host", "phases"} | GAUGE_KEYS,
 }
 PHASE_KEYS = {"name", "units", "cycles", "host"}
 
