@@ -390,6 +390,33 @@ BM_BinTraceDecode(benchmark::State &state)
 }
 
 /**
+ * accord.trace/1 batch decode: readLines() in runs of 4096 records, as
+ * the sampler's shared first pass reads a 4-stripe group (items are
+ * records).
+ */
+void
+BM_BinTraceReadLines(benchmark::State &state)
+{
+    trace::BinTraceReader reader(benchTrace());
+    std::vector<LineAddr> lines(4096);
+    std::uint64_t records = 0;
+    for (auto _ : state) {
+        std::uint64_t got = reader.readLines(lines.data(), lines.size());
+        if (got < lines.size()) {
+            state.PauseTiming();
+            reader.rewind();
+            state.ResumeTiming();
+            got += reader.readLines(lines.data() + got,
+                                    lines.size() - got);
+        }
+        benchmark::DoNotOptimize(lines.data());
+        benchmark::ClobberMemory();
+        records += got;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(records));
+}
+
+/**
  * One sampled-replay gap: skip 60000 kept records of a 4-way striped
  * trace, then read one.  Arg 0 decodes the gap (a fresh source per
  * pass has no index ahead of it); arg 1 seeks through the index a
@@ -503,6 +530,7 @@ BENCHMARK(BM_EventQueueFarFuture);
 BENCHMARK(BM_ChannelFrFcfs)->Arg(16);
 BENCHMARK(BM_TimedRead)->Arg(0)->Arg(1);
 BENCHMARK(BM_BinTraceDecode);
+BENCHMARK(BM_BinTraceReadLines);
 BENCHMARK(BM_TraceSourceSkip)->Arg(0)->Arg(1);
 BENCHMARK(BM_SampledFirstPass)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 

@@ -29,6 +29,13 @@ constexpr std::size_t kMaxVarintBytes = 10;
  *  line varint, class varint. */
 constexpr std::size_t kMaxRecordBytes = 1 + 2 * kMaxVarintBytes;
 
+/**
+ * Bytes a run leaves at the buffer's tail while more of the file is to
+ * come: the longest record plus readVarint's 8-byte word load, so any
+ * record a run starts lies whole in the buffer.
+ */
+constexpr std::size_t kTailMargin = kMaxRecordBytes + sizeof(std::uint64_t);
+
 void
 putVarint(std::vector<unsigned char> &out, std::uint64_t value)
 {
@@ -220,14 +227,14 @@ BinTraceReader::closeFile()
 void
 BinTraceReader::refill()
 {
-    // Move the unread tail to the front, then top the buffer up: a
-    // record is always whole in the buffer unless the file ends.
+    // Move the unread tail to the front, then top the buffer up past
+    // the tail margin unless the file ends.
     const std::size_t tail = buf_len_ - buf_pos_;
     std::memmove(buffer_.data(), buffer_.data() + buf_pos_, tail);
     buf_origin_ += buf_pos_;
     buf_pos_ = 0;
     buf_len_ = tail;
-    while (!eof_ && buf_len_ < kMaxRecordBytes) {
+    while (!eof_ && buf_len_ < kTailMargin) {
         unsigned char *const dst = buffer_.data() + buf_len_;
         const std::size_t room = buffer_.size() - buf_len_;
 #ifdef ACCORD_HAVE_ZLIB
@@ -244,7 +251,7 @@ BinTraceReader::refill()
     }
 }
 
-std::uint64_t
+inline std::uint64_t
 BinTraceReader::readVarint(const unsigned char *&p,
                            const unsigned char *end,
                            const char *what) const
@@ -257,10 +264,10 @@ BinTraceReader::readVarint(const unsigned char *&p,
             std::memcpy(&word, p, sizeof(word));
             const std::uint64_t stops = ~word & 0x8080808080808080ULL;
             if (stops != 0) {
-                const int bits = std::countr_zero(stops) + 1;
-                p += bits / 8;
-                if (bits < 64)
-                    word &= (std::uint64_t(1) << bits) - 1;
+                // The lowest stop bit closes the varint's last byte:
+                // step past it and keep the bytes up to it.
+                p += static_cast<unsigned>(std::countr_zero(stops)) / 8 + 1;
+                word &= stops ^ (stops - 1);
                 // Squeeze out the continuation bits: 7-bit groups to
                 // 14-, 28-, then 56-bit runs.
                 word = (word & 0x7F007F007F007F00ULL) >> 1
@@ -272,6 +279,16 @@ BinTraceReader::readVarint(const unsigned char *&p,
             }
         }
     }
+    const Varint slow = readVarintBytes(p, end, what);
+    p = slow.next;
+    return slow.value;
+}
+
+BinTraceReader::Varint
+BinTraceReader::readVarintBytes(const unsigned char *p,
+                                const unsigned char *end,
+                                const char *what) const
+{
     std::uint64_t value = 0;
     for (unsigned shift = 0;; shift += 7) {
         if (p == end)
@@ -280,7 +297,7 @@ BinTraceReader::readVarint(const unsigned char *&p,
         const unsigned char byte = *p++;
         value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
         if ((byte & 0x80) == 0)
-            return value;
+            return {value, p};
         if (shift + 7 >= 64)
             fatal("corrupt trace '%s' (varint overflow in %s)",
                   path_.c_str(), what);
@@ -309,50 +326,82 @@ BinTraceReader::readHeader()
     buf_pos_ = kBinTraceHeaderBytes;
 }
 
-int
-BinTraceReader::decodeRecord()
+void
+BinTraceReader::endOfTrace() const
 {
-    if (buf_len_ - buf_pos_ < kMaxRecordBytes && !eof_)
-        refill();
-    if (buf_pos_ == buf_len_) {
-        if (declared_ > 0 && records_ != declared_)
-            fatal("truncated trace '%s' (%llu of %llu records)",
-                  path_.c_str(),
-                  static_cast<unsigned long long>(records_),
-                  static_cast<unsigned long long>(declared_));
-        return -1;
+    if (declared_ == 0 || records_ == declared_)
+        return;
+    if (records_ < declared_)
+        fatal("truncated trace '%s' (%llu of %llu records)",
+              path_.c_str(), static_cast<unsigned long long>(records_),
+              static_cast<unsigned long long>(declared_));
+    fatal("corrupt trace '%s' (%llu records, header declares %llu)",
+          path_.c_str(), static_cast<unsigned long long>(records_),
+          static_cast<unsigned long long>(declared_));
+}
+
+template <class Sink>
+std::uint64_t
+BinTraceReader::decodeRun(std::uint64_t n, Sink &&sink)
+{
+    std::uint64_t left = n;
+    while (left > 0) {
+        if (buf_len_ - buf_pos_ < kTailMargin && !eof_)
+            refill();
+        if (buf_pos_ == buf_len_) {
+            endOfTrace();
+            break;
+        }
+        // One run: every record that starts before the tail margin, or
+        // with the whole file read, every record left.  Each one
+        // therefore lies whole in the buffer, or the file ends inside
+        // it and readVarint says so.
+        const unsigned char *const base = buffer_.data();
+        const unsigned char *const end = base + buf_len_;
+        const unsigned char *const last = end - (eof_ ? 1 : kTailMargin);
+        const unsigned char *p = base + buf_pos_;
+        LineAddr line = prev_line_;
+        std::uint16_t cls = cls_;
+        const std::uint64_t asked = left;
+        for (; left > 0 && p <= last; --left) {
+            const unsigned char control = *p++;
+            if (control & kCtrlReservedMask)
+                fatal("corrupt trace '%s' (reserved control bits set)",
+                      path_.c_str());
+            line += static_cast<std::uint64_t>(
+                zigzagDecode(readVarint(p, end, "line delta")));
+            if (control & kCtrlClassFollows) {
+                const std::uint64_t value =
+                    readVarint(p, end, "request class");
+                if (value > 0xFFFF)
+                    fatal("corrupt trace '%s' (request class %llu > 16 "
+                          "bit)",
+                          path_.c_str(),
+                          static_cast<unsigned long long>(value));
+                cls = static_cast<std::uint16_t>(value);
+            }
+            sink(line, control, cls);
+        }
+        buf_pos_ = static_cast<std::size_t>(p - base);
+        prev_line_ = line;
+        cls_ = cls;
+        records_ += asked - left;
     }
-    const unsigned char *p = buffer_.data() + buf_pos_;
-    const unsigned char *const end = buffer_.data() + buf_len_;
-    const unsigned char control = *p++;
-    if (control & kCtrlReservedMask)
-        fatal("corrupt trace '%s' (reserved control bits set)",
-              path_.c_str());
-    prev_line_ += static_cast<std::uint64_t>(
-        zigzagDecode(readVarint(p, end, "line delta")));
-    if (control & kCtrlClassFollows) {
-        const std::uint64_t cls = readVarint(p, end, "request class");
-        if (cls > 0xFFFF)
-            fatal("corrupt trace '%s' (request class %llu > 16 bit)",
-                  path_.c_str(),
-                  static_cast<unsigned long long>(cls));
-        cls_ = static_cast<std::uint16_t>(cls);
-    }
-    buf_pos_ = static_cast<std::size_t>(p - buffer_.data());
-    ++records_;
-    return control;
+    return n - left;
 }
 
 bool
 BinTraceReader::next(Request &out)
 {
-    const int control = decodeRecord();
-    if (control < 0)
+    if (decodeRun(1, [&out](LineAddr line, unsigned char control,
+                            std::uint16_t cls) {
+            out.line = line;
+            out.kind = (control & kCtrlWriteback)
+                ? core::RequestKind::Writeback
+                : core::RequestKind::Demand;
+            out.cls = cls;
+        }) == 0)
         return false;
-    out.line = prev_line_;
-    out.kind = (control & kCtrlWriteback) ? core::RequestKind::Writeback
-                                          : core::RequestKind::Demand;
-    out.cls = cls_;
     out.warmup = false;
     out.position = records_ - 1;
     return true;
@@ -361,10 +410,14 @@ BinTraceReader::next(Request &out)
 std::uint64_t
 BinTraceReader::skip(std::uint64_t n)
 {
-    std::uint64_t done = 0;
-    while (done < n && decodeRecord() >= 0)
-        ++done;
-    return done;
+    return decodeRun(n, [](LineAddr, unsigned char, std::uint16_t) {});
+}
+
+std::uint64_t
+BinTraceReader::readLines(LineAddr *out, std::uint64_t n)
+{
+    return decodeRun(n, [&out](LineAddr line, unsigned char,
+                               std::uint16_t) { *out++ = line; });
 }
 
 void

@@ -24,9 +24,15 @@
  * (ACCORD_HAVE_ZLIB undefined) plain files still work; gzip input is
  * rejected with a clear fatal().
  *
+ * BinTraceReader decodes a run of records at a time: one loop, with
+ * the buffer position, line and class in locals, serves next(), skip()
+ * and the lines-only batch readLines(), and checks the read buffer once
+ * per run rather than once per record.
+ *
  * TraceSource replays a file, whole or as one of N stripes, and keeps a
  * sparse seek index so skips cost what they keep.  decodeStripes()
- * splits one decode of a file among all its stripes at once: the
+ * splits one decode of a file among all its stripes at once, one
+ * readLines() call per group of N * kTraceSeekStride records: the
  * sampler's first pass (sample.hpp) uses it so that N cores striping
  * one trace decode it once, not N times, and each core's TraceSource
  * takes over the seek index that pass recorded for its stripe.
@@ -110,7 +116,7 @@ class BinTraceWriter
  * Streaming accord.trace/1 reader with bounded memory (64 KB chunks).
  * fatal() on a missing file, bad magic, reserved control bits, varint
  * overflow, an over-wide class, mid-record truncation, or a record
- * count short of the header's.
+ * count short of or beyond the header's.
  */
 class BinTraceReader
 {
@@ -147,6 +153,13 @@ class BinTraceReader
      */
     std::uint64_t skip(std::uint64_t n);
 
+    /**
+     * Decode up to `n` records with the same checks as next(), storing
+     * each one's line address in `out`; returns how many there were
+     * (fewer only at end-of-trace).
+     */
+    std::uint64_t readLines(LineAddr *out, std::uint64_t n);
+
     /** Header record count (0 = unknown, e.g. gzip-streamed write). */
     std::uint64_t declaredCount() const { return declared_; }
 
@@ -175,10 +188,33 @@ class BinTraceReader
     void closeFile();
     void readHeader();
     void refill();
-    int decodeRecord();
+    void endOfTrace() const;
+
+    /**
+     * The decode loop: decode up to `n` records, handing each to
+     * sink(line, control byte, class); returns how many there were.
+     */
+    template <class Sink>
+    std::uint64_t decodeRun(std::uint64_t n, Sink &&sink);
+
     std::uint64_t readVarint(const unsigned char *&p,
                              const unsigned char *end,
                              const char *what) const;
+
+    /** A decoded varint and the byte after it. */
+    struct Varint
+    {
+        std::uint64_t value;
+        const unsigned char *next;
+    };
+
+    /**
+     * readVarint()'s byte-at-a-time path, kept out of the decode loop:
+     * long varints, the buffer's last 7 bytes, and the fatal checks.
+     */
+    Varint readVarintBytes(const unsigned char *p,
+                           const unsigned char *end,
+                           const char *what) const;
 
     std::string path_;
     std::FILE *file_ = nullptr;
@@ -282,12 +318,15 @@ class TraceSource final : public TrafficSource
 
 /**
  * Decode the trace at `path` once, split the way `stripe_count`
- * TraceSources over it split it: keep(stripe, request) sees every
- * record in file order with the stripe that keeps it.  Returns each
- * stripe's seek index, mark for mark the one its TraceSource records
- * while decoding the whole stripe, for adoptSeekIndex().  The decode
- * runs through BinTraceReader, so every fatal check of a full pass
- * fires here.
+ * TraceSources over it split it.  keep(lines, count) sees the line
+ * addresses of every record in file order, a group of stripe_count *
+ * kTraceSeekStride records per call (the last group may be shorter):
+ * each group starts a stride of every stripe, so lines[i] is kept by
+ * stripe i % stripe_count.  Returns each stripe's seek index, mark for
+ * mark the one its TraceSource records while decoding the whole
+ * stripe, for adoptSeekIndex().  The decode runs through
+ * BinTraceReader, so every fatal check of a full pass fires here; it
+ * holds one group of lines (128 KB at 4 stripes).
  */
 template <class Keep>
 std::vector<std::vector<BinTraceReader::Mark>>
@@ -296,25 +335,27 @@ decodeStripes(const std::string &path, unsigned stripe_count, Keep &&keep)
     BinTraceReader reader(path);
     std::vector<std::vector<BinTraceReader::Mark>> marks(stripe_count);
     // Record r goes to stripe r % stripe_count as kept record
-    // r / stripe_count; both are counted, not divided out.
-    const std::uint64_t group =
-        std::uint64_t(stripe_count) * kTraceSeekStride;
-    unsigned stripe = 0;
-    std::uint64_t phase = 0;  ///< position of the next record % group
-    Request req;
+    // r / stripe_count.
+    std::vector<LineAddr> group(std::size_t(stripe_count)
+                                * kTraceSeekStride);
     for (;;) {
         // A stripe's mark precedes each kept record whose index is a
         // multiple of kTraceSeekStride, and end-of-trace when the
-        // stripe's next index would be one.
-        if (phase < stripe_count)
-            marks[stripe].push_back(reader.mark());
-        if (!reader.next(req))
+        // stripe's next index would be one: the group's record s, for
+        // each stripe s.
+        std::size_t got = 0;
+        while (got < stripe_count) {
+            marks[got].push_back(reader.mark());
+            if (reader.readLines(&group[got], 1) == 0)
+                break;
+            ++got;
+        }
+        if (got == stripe_count)
+            got += reader.readLines(&group[got], group.size() - got);
+        if (got > 0)
+            keep(std::as_const(group).data(), got);
+        if (got < group.size())
             return marks;
-        keep(stripe, req);
-        if (++stripe == stripe_count)
-            stripe = 0;
-        if (++phase == group)
-            phase = 0;
     }
 }
 

@@ -28,6 +28,23 @@ dist2(const float *sig, const double *centroid, unsigned dims)
     return sum;
 }
 
+/**
+ * Count `take` records, lines[0], lines[stride], ..., into `signature`,
+ * each in bucket(mix64(regionOf(line))); returns the line after them.
+ */
+template <class Bucket>
+const LineAddr *
+countBuckets(float *signature, const LineAddr *lines, std::uint64_t take,
+             std::size_t stride, Bucket bucket)
+{
+    for (std::uint64_t i = 0; i < take; ++i, lines += stride)
+        signature[bucket(mix64(regionOf(*lines)))] += 1.0F;
+    return lines;
+}
+
+/** Records profileOf() hands SignatureBuilder per call. */
+constexpr std::size_t kProfileBatch = 4096;
+
 /** Pass 1 over `inner` itself; fatal() on an unbounded stream. */
 SampleProfile
 profileOf(TrafficSource &inner, const SampleParams &params)
@@ -37,8 +54,13 @@ profileOf(TrafficSource &inner, const SampleParams &params)
               "or synthetic(limit=)); got %s",
               inner.describe().c_str());
     SignatureBuilder builder(params.window, params.dims);
-    while (!inner.exhausted())
-        builder.add(inner.next().line);
+    std::vector<LineAddr> batch(kProfileBatch);
+    while (!inner.exhausted()) {
+        std::size_t got = 0;
+        while (got < batch.size() && !inner.exhausted())
+            batch[got++] = inner.next().line;
+        builder.add(batch.data(), got);
+    }
     return builder.finish();
 }
 
@@ -71,12 +93,35 @@ SignatureBuilder::SignatureBuilder(std::uint64_t window, unsigned dims)
 }
 
 void
-SignatureBuilder::openWindow()
+SignatureBuilder::add(const LineAddr *lines, std::uint64_t count,
+                      std::size_t stride)
 {
-    current_ = profile_.signatures.size();
-    profile_.signatures.resize(current_ + dims_, 0.0F);
-    ++profile_.windows;
-    window_left_ = window_;
+    // Windows are counted down, not divided out: pass 1 sees every
+    // record of the trace.
+    profile_.records += count;
+    while (count > 0) {
+        if (window_left_ == 0) {
+            current_ = profile_.signatures.size();
+            profile_.signatures.resize(current_ + dims_, 0.0F);
+            ++profile_.windows;
+            window_left_ = window_;
+        }
+        const std::uint64_t take = std::min(count, window_left_);
+        float *const signature = profile_.signatures.data() + current_;
+        const std::uint64_t dims = dims_;
+        // With dims a power of two, hash % dims is a mask.
+        lines = (dims & (dims - 1)) == 0
+            ? countBuckets(signature, lines, take, stride,
+                           [dims](std::uint64_t hash) {
+                               return hash & (dims - 1);
+                           })
+            : countBuckets(signature, lines, take, stride,
+                           [dims](std::uint64_t hash) {
+                               return hash % dims;
+                           });
+        window_left_ -= take;
+        count -= take;
+    }
 }
 
 SampleProfile
@@ -411,11 +456,16 @@ sampleSources(std::vector<std::unique_ptr<TrafficSource>> inners,
     const unsigned stripes = traces[0]->stripeCount();
     std::vector<SignatureBuilder> builders(
         stripes, SignatureBuilder(params.window, params.dims));
+    // Each group starts a stride of every stripe: stripe s keeps
+    // lines[s], lines[s + stripes], ...
+    const auto keep = [&builders, stripes](const LineAddr *lines,
+                                           std::size_t count) {
+        for (unsigned s = 0; s < stripes && s < count; ++s)
+            builders[s].add(lines + s, (count - s + stripes - 1) / stripes,
+                            stripes);
+    };
     const std::vector<std::vector<BinTraceReader::Mark>> marks =
-        decodeStripes(traces[0]->path(), stripes,
-                      [&builders](unsigned stripe, const Request &req) {
-                          builders[stripe].add(req.line);
-                      });
+        decodeStripes(traces[0]->path(), stripes, keep);
     std::vector<SampleProfile> profiles;
     for (SignatureBuilder &builder : builders)
         profiles.push_back(builder.finish());

@@ -42,6 +42,9 @@
  * decodes the file once for all cores (decodeStripes() in
  * bintrace.hpp) instead of once per core, and every plan and every
  * replayed stream is identical to what each core's own pass gives.
+ * Either way SignatureBuilder takes the lines in batches: a run of a
+ * self-profiled stream, or one stripe's strided slice of each group
+ * that decodeStripes() hands over.
  *
  * docs/TRACES.md documents methodology and accuracy expectations.
  */
@@ -121,8 +124,8 @@ struct SampleProfile
 };
 
 /**
- * Pass 1's accumulator: add() each record of a stream in order, then
- * finish() gives its profile.  A window's signature counts its
+ * Pass 1's accumulator: add() each batch of a stream's lines in order,
+ * then finish() gives its profile.  A window's signature counts its
  * records per hashed-region bucket, mix64(regionOf(line)) % dims.
  */
 class SignatureBuilder
@@ -130,26 +133,18 @@ class SignatureBuilder
   public:
     SignatureBuilder(std::uint64_t window, unsigned dims);
 
-    void
-    add(LineAddr line)
-    {
-        // Windows are counted down, not divided out: pass 1 sees
-        // every record of the trace.
-        if (window_left_ == 0)
-            openWindow();
-        --window_left_;
-        profile_.signatures[current_ + mix64(regionOf(line)) % dims_] +=
-            1.0F;
-        ++profile_.records;
-    }
+    /**
+     * Add the next `count` records of the stream, whose lines are
+     * lines[0], lines[stride], ... lines[(count - 1) * stride].
+     */
+    void add(const LineAddr *lines, std::uint64_t count,
+             std::size_t stride = 1);
 
     /** The profile of every record added, L1-normalized; the last
      *  call on a builder. */
     SampleProfile finish();
 
   private:
-    void openWindow();
-
     std::uint64_t window_;
     std::uint64_t dims_;
     std::uint64_t window_left_ = 0;

@@ -409,32 +409,54 @@ TEST(SampledSourceDeath, CorruptRecordInASkippedGapFatalsWhileProfiling)
 TEST(SignatureBuilder, MatchesTheBucketFormula)
 {
     // Each record lands in bucket mix64(regionOf(line)) % dims of its
-    // window, and every window (the short tail too) sums to 1.
+    // window, and every window (the short tail too) sums to 1, however
+    // the stream is batched: batches that end inside, at and past a
+    // window's end, read whole or as a strided slice of an interleaved
+    // array.
     auto src = boundedLibq(10'000);
     std::vector<LineAddr> lines;
     while (!src->exhausted())
         lines.push_back(src->next().line);
-    for (const unsigned dims : {1u, 31u, 32u}) {
-        SCOPED_TRACE(::testing::Message() << "dims " << dims);
-        constexpr std::uint64_t kWindow = 700;
+    constexpr std::size_t kStride = 3;
+    std::vector<LineAddr> interleaved(lines.size() * kStride, 0);
+    for (std::size_t i = 0; i < lines.size(); ++i)
+        interleaved[i * kStride + 1] = lines[i];
+    constexpr std::uint64_t kWindow = 700;
+    constexpr std::uint64_t kBatches[] = {1, 7, 692, 700, 701, 4096};
+    const auto profile = [&](unsigned dims, std::size_t stride) {
         SignatureBuilder builder(kWindow, dims);
-        for (const LineAddr line : lines)
-            builder.add(line);
-        const SampleProfile got = builder.finish();
+        const LineAddr *next =
+            stride == 1 ? lines.data() : interleaved.data() + 1;
+        std::uint64_t left = lines.size();
+        for (std::size_t call = 0; left > 0; ++call) {
+            const std::uint64_t count =
+                std::min(left, kBatches[call % std::size(kBatches)]);
+            builder.add(next, count, stride);
+            next += count * stride;
+            left -= count;
+        }
+        return builder.finish();
+    };
+    for (const unsigned dims : {1u, 31u, 32u}) {
         const std::uint64_t windows = (lines.size() + kWindow - 1) / kWindow;
-        ASSERT_EQ(got.records, lines.size());
-        ASSERT_EQ(got.windows, windows);
-        ASSERT_EQ(got.signatures.size(), windows * dims);
         std::vector<double> want(windows * dims, 0.0);
         for (std::size_t i = 0; i < lines.size(); ++i)
             want[i / kWindow * dims + mix64(regionOf(lines[i])) % dims] += 1;
-        for (std::uint64_t w = 0; w < windows; ++w) {
-            const double held = static_cast<double>(
-                std::min<std::uint64_t>(kWindow, lines.size() - w * kWindow));
-            for (unsigned d = 0; d < dims; ++d) {
-                EXPECT_FLOAT_EQ(got.signatures[w * dims + d],
-                                want[w * dims + d] / held)
-                    << "window " << w << " bucket " << d;
+        for (const std::size_t stride : {std::size_t(1), kStride}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "dims " << dims << " stride " << stride);
+            const SampleProfile got = profile(dims, stride);
+            ASSERT_EQ(got.records, lines.size());
+            ASSERT_EQ(got.windows, windows);
+            ASSERT_EQ(got.signatures.size(), windows * dims);
+            for (std::uint64_t w = 0; w < windows; ++w) {
+                const double held = static_cast<double>(std::min<std::uint64_t>(
+                    kWindow, lines.size() - w * kWindow));
+                for (unsigned d = 0; d < dims; ++d) {
+                    EXPECT_FLOAT_EQ(got.signatures[w * dims + d],
+                                    want[w * dims + d] / held)
+                        << "window " << w << " bucket " << d;
+                }
             }
         }
     }

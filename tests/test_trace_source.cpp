@@ -6,13 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "trace/bintrace.hpp"
 #include "trace/generator.hpp"
 #include "trace/source.hpp"
@@ -153,6 +156,183 @@ drain(TrafficSource &src)
     return out;
 }
 
+/** Read buffer size of BinTraceReader: its first chunk ends here. */
+constexpr std::uint64_t kChunkEdge = 64 * 1024;
+
+/** Bytes of a decode run's tail margin: a 21-byte record plus an
+ *  8-byte word load. */
+constexpr std::uint64_t kTailMarginBytes = 29;
+
+/**
+ * A seeded record stream whose encoded size is tracked record by
+ * record, so a test can land record boundaries on chosen stream
+ * offsets.  Offsets count from the start of the file (header
+ * included), as BinTraceReader::Mark::offset does.
+ */
+class SizedStream
+{
+  public:
+    explicit SizedStream(std::uint64_t seed) : rng_(seed) {}
+
+    /**
+     * Append a record whose line delta is a `varint`-byte varint
+     * (1-10) and whose class is `cls` (a class varint follows when it
+     * changes).
+     */
+    void
+    add(unsigned varint, std::uint16_t cls, bool writeback)
+    {
+        // A zigzag value that needs exactly `varint` bytes.
+        const std::uint64_t lo =
+            varint == 1 ? 0 : std::uint64_t(1) << (7 * (varint - 1));
+        const std::uint64_t span = varint == 10
+            ? std::uint64_t(0) - lo
+            : (std::uint64_t(1) << (7 * varint)) - lo;
+        const std::uint64_t zigzag = lo + rng_.below(span);
+        line_ += static_cast<std::uint64_t>(
+            static_cast<std::int64_t>(zigzag >> 1)
+            ^ -static_cast<std::int64_t>(zigzag & 1));
+        offset_ += 1 + varint;
+        if (cls != cls_) {
+            for (std::uint64_t v = cls; v >= 0x80; v >>= 7)
+                ++offset_;
+            ++offset_;
+            cls_ = cls;
+        }
+        Request req;
+        req.line = line_;
+        req.kind = writeback ? core::RequestKind::Writeback
+                             : core::RequestKind::Demand;
+        req.cls = cls_;
+        records_.push_back(req);
+    }
+
+    /** A random record: mostly short deltas, every varint length,
+     *  class changes including 0 and 0xFFFF, and writebacks. */
+    void
+    addRandom()
+    {
+        const unsigned varint = rng_.chance(0.5)
+            ? 1 + static_cast<unsigned>(rng_.below(2))
+            : 1 + static_cast<unsigned>(rng_.below(10));
+        std::uint16_t cls = cls_;
+        if (rng_.chance(0.125)) {
+            const std::uint16_t picks[] = {0, 0xFFFF, 127, 128, 16383,
+                                           16384};
+            cls = rng_.chance(0.5)
+                ? picks[rng_.below(std::size(picks))]
+                : static_cast<std::uint16_t>(rng_.below(0x10000));
+        }
+        add(varint, cls, rng_.chance(0.25));
+    }
+
+    /** Add random records, then 2- and 3-byte ones, so that a record
+     *  boundary falls exactly on `offset`. */
+    void
+    boundaryAt(std::uint64_t offset)
+    {
+        while (offset_ + 64 < offset)
+            addRandom();
+        while (offset - offset_ >= 4)
+            add(1, cls_, false);
+        if (offset > offset_)
+            add(static_cast<unsigned>(offset - offset_ - 1), cls_, false);
+    }
+
+    std::uint64_t offset() const { return offset_; }
+    const std::vector<Request> &records() const { return records_; }
+
+  private:
+    Rng rng_;
+    LineAddr line_ = 0;
+    std::uint16_t cls_ = 0;
+    std::uint64_t offset_ = kBinTraceHeaderBytes;
+    std::vector<Request> records_;
+};
+
+/**
+ * A stream with a record boundary exactly at `edge`, about 40 KB more
+ * past it, and a tail whose last 29 bytes hold three records: a
+ * 10-byte delta with a class change to 0xFFFF, a short one back to
+ * class 0, and a last 10-byte delta (so cutting the file's last byte
+ * cuts that varint).
+ */
+std::vector<Request>
+edgeRecords(std::uint64_t edge)
+{
+    SizedStream stream(edge);
+    stream.boundaryAt(edge);
+    while (stream.offset() < edge + 40'000)
+        stream.addRandom();
+    stream.add(1, 0, false);
+    stream.add(10, 0xFFFF, true);
+    stream.add(1, 0, true);
+    stream.add(10, 0, false);
+    return stream.records();
+}
+
+/** Record boundaries around the first chunk edge and the tail margin
+ *  before it. */
+constexpr std::uint64_t kEdgeOffsets[] = {
+    kChunkEdge - kTailMarginBytes - 1, kChunkEdge - kTailMarginBytes,
+    kChunkEdge - kTailMarginBytes + 1, kChunkEdge - 21,
+    kChunkEdge - 8,  kChunkEdge - 1,   kChunkEdge,
+    kChunkEdge + 1};
+
+/** Every record of `path` by next(), and the mark before each one and
+ *  after the last. */
+void
+readByRecord(const std::string &path, std::vector<Request> &records,
+             std::vector<BinTraceReader::Mark> &marks)
+{
+    BinTraceReader reader(path);
+    Request req;
+    marks.push_back(reader.mark());
+    while (reader.next(req)) {
+        records.push_back(req);
+        marks.push_back(reader.mark());
+    }
+}
+
+/** The bytes of the file at `path`. */
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/** Decode all of `path` through next(), skip() or decodeStripes(). */
+void
+decodeAllByNext(const std::string &path)
+{
+    BinTraceReader reader(path);
+    Request req;
+    while (reader.next(req)) {
+    }
+}
+
+void
+decodeAllBySkip(const std::string &path)
+{
+    BinTraceReader reader(path);
+    reader.skip(std::numeric_limits<std::uint64_t>::max());
+}
+
+void
+decodeAllByStripes(const std::string &path)
+{
+    decodeStripes(path, 3, [](const LineAddr *, std::size_t) {});
+}
+
 } // namespace
 
 TEST(BinTrace, RoundTripAwkwardDeltas)
@@ -271,6 +451,196 @@ TEST(BinTraceDeath, RejectsMissingFile)
 {
     EXPECT_EXIT(BinTraceReader reader("/nonexistent/trace.trc"),
                 ::testing::ExitedWithCode(1), "cannot open");
+}
+
+TEST(BinTraceDeath, HeaderCountAboveRecordsIsTruncation)
+{
+    const auto path = tracePath("count_short");
+    const std::vector<Request> recs(5);
+    writeRecords(path, recs);
+    std::string bytes = fileBytes(path);
+    bytes[9] = 7;  // record count, little-endian
+    writeBytes(path, bytes);
+    EXPECT_EXIT(decodeAllByNext(path), ::testing::ExitedWithCode(1),
+                "truncated trace '.*' \\(5 of 7 records\\)");
+    std::remove(path.c_str());
+}
+
+TEST(BinTraceDeath, HeaderCountBelowRecordsIsCorruption)
+{
+    const auto path = tracePath("count_surplus");
+    const std::vector<Request> recs(5);
+    writeRecords(path, recs);
+    std::string bytes = fileBytes(path);
+    bytes[9] = 3;
+    writeBytes(path, bytes);
+    EXPECT_EXIT(decodeAllByNext(path), ::testing::ExitedWithCode(1),
+                "corrupt trace '.*' \\(5 records, header declares 3\\)");
+    std::remove(path.c_str());
+}
+
+TEST(BinTrace, EveryReadPathDecodesTheSameRecordsAndMarks)
+{
+    // next() record by record is the reference.  kSkipPattern skips
+    // each followed by next(), and readLines() in batches of 1, 7,
+    // 4096 and the whole rest, must give the same lines, kinds,
+    // classes and positions, and leave the reader at the same mark,
+    // whichever side of the chunk edge and the tail margin a record
+    // boundary falls on.
+    for (const bool gzip : {false, true}) {
+        if (gzip && !binTraceGzipAvailable())
+            continue;
+        for (const std::uint64_t edge : kEdgeOffsets) {
+            SCOPED_TRACE(::testing::Message()
+                         << (gzip ? "gzip" : "plain") << " boundary at "
+                         << edge);
+            const auto recs = edgeRecords(edge);
+            const auto path = tracePath(gzip ? "paths_gz" : "paths");
+            writeRecords(path, recs, gzip);
+            std::vector<Request> want;
+            std::vector<BinTraceReader::Mark> marks;
+            readByRecord(path, want, marks);
+            ASSERT_EQ(want.size(), recs.size());
+            for (std::size_t i = 0; i < recs.size(); ++i) {
+                ASSERT_EQ(want[i].line, recs[i].line) << i;
+                ASSERT_EQ(want[i].kind, recs[i].kind) << i;
+                ASSERT_EQ(want[i].cls, recs[i].cls) << i;
+                ASSERT_EQ(want[i].position, i);
+            }
+            EXPECT_TRUE(std::any_of(marks.begin(), marks.end(),
+                                    [edge](const auto &mark) {
+                                        return mark.offset == edge;
+                                    }));
+            const std::uint64_t size = marks.back().offset;
+            EXPECT_GE(std::count_if(marks.begin(), marks.end() - 1,
+                                    [size](const auto &mark) {
+                                        return mark.offset + kTailMarginBytes
+                                            > size;
+                                    }),
+                      3);
+
+            BinTraceReader skipper(path);
+            std::uint64_t pos = 0;
+            for (std::size_t round = 0;; ++round) {
+                const std::uint64_t n =
+                    kSkipPattern[round % std::size(kSkipPattern)];
+                if (pos + n >= want.size())
+                    break;
+                ASSERT_EQ(skipper.skip(n), n);
+                pos += n;
+                ASSERT_EQ(skipper.mark(), marks[pos]) << pos;
+                Request req;
+                ASSERT_TRUE(skipper.next(req));
+                ASSERT_EQ(req.line, want[pos].line) << pos;
+                ASSERT_EQ(req.kind, want[pos].kind) << pos;
+                ASSERT_EQ(req.cls, want[pos].cls) << pos;
+                ASSERT_EQ(req.position, pos);
+                ++pos;
+                ASSERT_EQ(skipper.mark(), marks[pos]) << pos;
+            }
+            EXPECT_EQ(skipper.skip(want.size()), want.size() - pos);
+            EXPECT_EQ(skipper.mark(), marks.back());
+
+            for (const std::uint64_t batch :
+                 {std::uint64_t(1), std::uint64_t(7), kTraceSeekStride,
+                  std::uint64_t(want.size())}) {
+                SCOPED_TRACE(::testing::Message() << "batch " << batch);
+                BinTraceReader reader(path);
+                std::vector<LineAddr> lines(batch);
+                for (pos = 0; pos < want.size();) {
+                    const std::uint64_t got =
+                        reader.readLines(lines.data(), batch);
+                    ASSERT_EQ(got, std::min(batch, want.size() - pos));
+                    for (std::uint64_t i = 0; i < got; ++i)
+                        ASSERT_EQ(lines[i], want[pos + i].line) << pos + i;
+                    pos += got;
+                    ASSERT_EQ(reader.mark(), marks[pos]) << pos;
+                }
+                EXPECT_EQ(reader.readLines(lines.data(), batch), 0u);
+            }
+            std::remove(path.c_str());
+        }
+    }
+}
+
+TEST(BinTraceDeath, HostileInputFatalsThroughEveryReadPath)
+{
+    // Each mutation of a valid file exits 1 with its message through
+    // next(), skip() and decodeStripes(): once in the middle of a run,
+    // and once in the file's last record, which the reader decodes
+    // with the file's end in the buffer.
+    const auto base = tracePath("hostile_base");
+    writeRecords(base, edgeRecords(kChunkEdge));
+    std::vector<Request> recs;
+    std::vector<BinTraceReader::Mark> marks;
+    readByRecord(base, recs, marks);
+    const std::string valid = fileBytes(base);
+    const std::uint64_t count = recs.size();
+    const std::size_t mid = static_cast<std::size_t>(marks[count / 3].offset);
+    const std::size_t last =
+        static_cast<std::size_t>(marks[count - 1].offset);
+
+    // Replace the record at `at` with `record`.
+    const auto replaced = [&valid](std::size_t at, std::size_t next,
+                                   const std::string &record) {
+        std::string bytes = valid;
+        bytes.replace(at, next - at, record);
+        return bytes;
+    };
+    const auto declaring = [&valid](std::uint64_t declared) {
+        std::string bytes = valid;
+        for (int i = 0; i < 8; ++i)
+            bytes[9 + i] = static_cast<char>(declared >> (8 * i));
+        return bytes;
+    };
+    const std::string overlong_delta =
+        std::string(1, '\x00') + std::string(10, '\x80') + '\x01';
+    const std::string wide_class("\x02\x00\x80\x80\x04", 5);
+    const std::size_t mid_end =
+        static_cast<std::size_t>(marks[count / 3 + 1].offset);
+    const struct
+    {
+        const char *name;
+        std::string bytes;
+        std::string message;
+    } cases[] = {
+        {"reserved bit mid",
+         replaced(mid, mid + 1, std::string(1, valid[mid] | '\x04')),
+         "reserved control bits set"},
+        {"reserved bit last",
+         replaced(last, last + 1, std::string(1, valid[last] | '\x40')),
+         "reserved control bits set"},
+        {"11-byte delta mid", replaced(mid, mid_end, overlong_delta),
+         "varint overflow in line delta"},
+        {"11-byte delta last", replaced(last, valid.size(), overlong_delta),
+         "varint overflow in line delta"},
+        {"class 65536 mid", replaced(mid, mid_end, wide_class),
+         "request class 65536 > 16 bit"},
+        {"class 65536 last", replaced(last, valid.size(), wide_class),
+         "request class 65536 > 16 bit"},
+        {"cut inside the last varint", valid.substr(0, valid.size() - 1),
+         "truncated trace '.*' \\(eof inside line delta\\)"},
+        {"header count one above", declaring(count + 1),
+         "truncated trace '.*' \\(" + std::to_string(count) + " of "
+             + std::to_string(count + 1) + " records\\)"},
+        {"header count one below", declaring(count - 1),
+         "corrupt trace '.*' \\(" + std::to_string(count)
+             + " records, header declares " + std::to_string(count - 1)
+             + "\\)"},
+    };
+    const auto path = tracePath("hostile");
+    for (const auto &hostile : cases) {
+        SCOPED_TRACE(hostile.name);
+        writeBytes(path, hostile.bytes);
+        EXPECT_EXIT(decodeAllByNext(path), ::testing::ExitedWithCode(1),
+                    hostile.message);
+        EXPECT_EXIT(decodeAllBySkip(path), ::testing::ExitedWithCode(1),
+                    hostile.message);
+        EXPECT_EXIT(decodeAllByStripes(path), ::testing::ExitedWithCode(1),
+                    hostile.message);
+    }
+    std::remove(path.c_str());
+    std::remove(base.c_str());
 }
 
 TEST(TraceSource, StripingPartitionsTheStream)
@@ -420,11 +790,21 @@ TEST(TraceSource, DecodeStripesMatchesEachStripesOwnPass)
         const auto path = tracePath(gzip ? "stripes_gz" : "stripes");
         writeRecords(path, recs, gzip);
         for (unsigned stripes = 1; stripes <= 4; ++stripes) {
-            std::vector<std::vector<Request>> kept(stripes);
+            // Every group but the last holds a full stride of every
+            // stripe, and lines[i] belongs to stripe i % stripes.
+            std::vector<std::vector<LineAddr>> kept(stripes);
+            std::vector<std::size_t> groups;
             const auto marks = decodeStripes(
-                path, stripes, [&kept](unsigned stripe, const Request &req) {
-                    kept[stripe].push_back(req);
+                path, stripes,
+                [&kept, &groups, stripes](const LineAddr *lines,
+                                          std::size_t count) {
+                    groups.push_back(count);
+                    for (std::size_t i = 0; i < count; ++i)
+                        kept[i % stripes].push_back(lines[i]);
                 });
+            ASSERT_FALSE(groups.empty());
+            for (std::size_t g = 0; g + 1 < groups.size(); ++g)
+                EXPECT_EQ(groups[g], stripes * kTraceSeekStride) << g;
             ASSERT_EQ(marks.size(), stripes);
             for (unsigned index = 0; index < stripes; ++index) {
                 SCOPED_TRACE(::testing::Message()
@@ -433,11 +813,8 @@ TEST(TraceSource, DecodeStripesMatchesEachStripesOwnPass)
                 TraceSource own(path, false, stripes, index);
                 const auto want = drain(own);
                 ASSERT_EQ(kept[index].size(), want.size());
-                for (std::size_t i = 0; i < want.size(); ++i) {
-                    ASSERT_EQ(kept[index][i].line, want[i].line) << i;
-                    ASSERT_EQ(kept[index][i].kind, want[i].kind) << i;
-                    ASSERT_EQ(kept[index][i].cls, want[i].cls) << i;
-                }
+                for (std::size_t i = 0; i < want.size(); ++i)
+                    ASSERT_EQ(kept[index][i], want[i].line) << i;
                 EXPECT_EQ(marks[index], own.seekMarks());
                 if (index == 0
                     && recs.size() % (stripes * kTraceSeekStride) == 0) {

@@ -30,14 +30,16 @@ from pathlib import Path
 
 SCHEMA = "accord.telemetry/1"
 
-# Exact per-record-type key sets; shared gauge block for hb/end.
+# Exact per-record-type key sets, shared gauge block for hb/end: the
+# recorder writes every key of a record's set, so a record with a key
+# outside it, or without one of its keys, fails validation.
 GAUGE_KEYS = {
     "phase", "position", "cycles", "reads", "read_hits", "hit_rate",
     "eq_pending", "eq_executed", "eq_occupancy_peak",
     "eq_overflow_spills", "pool_live", "pool_block_bytes",
     "state_bytes",
 }
-KNOWN_KEYS = {
+RECORD_KEYS = {
     "hdr": {"t", "schema", "units", "interval", "total_units", "spec",
             "volatile", "volatile_container"},
     "hb": {"t", "seq", "host"} | GAUGE_KEYS,
@@ -48,6 +50,18 @@ PHASE_KEYS = {"name", "units", "cycles", "host"}
 
 class StreamError(Exception):
     """One validation failure, annotated with file and line number."""
+
+
+def check_keys(number, what, record, keys):
+    """Raise unless `record` carries exactly `keys`."""
+    unknown = set(record) - keys
+    if unknown:
+        raise StreamError(f"line {number}: unknown {what} keys "
+                          f"{sorted(unknown)}")
+    missing = keys - set(record)
+    if missing:
+        raise StreamError(f"line {number}: missing {what} keys "
+                          f"{sorted(missing)}")
 
 
 def parse_stream(path):
@@ -100,10 +114,7 @@ def validate_stream(path):
     if hdr.get("schema") != SCHEMA:
         raise StreamError(f"line {number}: schema "
                           f"{hdr.get('schema')!r}, expected {SCHEMA!r}")
-    unknown = set(hdr) - KNOWN_KEYS["hdr"]
-    if unknown:
-        raise StreamError(f"line {number}: unknown header keys "
-                          f"{sorted(unknown)}")
+    check_keys(number, "header", hdr, RECORD_KEYS["hdr"])
     volatile = set(hdr.get("volatile", []))
     container = hdr.get("volatile_container", "host")
     if not volatile:
@@ -128,10 +139,7 @@ def validate_stream(path):
         if leaks:
             raise StreamError(f"line {number}: volatile fields {leaks} "
                               f"outside the '{container}' container")
-        unknown = set(rec) - KNOWN_KEYS[kind]
-        if unknown:
-            raise StreamError(f"line {number}: unknown {kind} keys "
-                              f"{sorted(unknown)}")
+        check_keys(number, kind, rec, RECORD_KEYS[kind])
         if rec.get("seq") != seq + 1:
             raise StreamError(f"line {number}: seq {rec.get('seq')} "
                               f"breaks the monotonic chain at {seq}")
@@ -142,11 +150,8 @@ def validate_stream(path):
         position = rec.get("position", 0)
         if kind == "end":
             saw_end = True
-            for phase in rec.get("phases", []):
-                unknown = set(phase) - PHASE_KEYS
-                if unknown:
-                    raise StreamError(f"line {number}: unknown phase "
-                                      f"keys {sorted(unknown)}")
+            for phase in rec["phases"]:
+                check_keys(number, "phase", phase, PHASE_KEYS)
 
     return {
         "hdr": hdr,
@@ -257,6 +262,7 @@ def self_test(fixture_dir):
         "bad_seq.jsonl": "monotonic",
         "bad_volatile_leak.jsonl": "outside",
         "bad_midstream.jsonl": "middle of the stream",
+        "bad_missing_key.jsonl": "missing hb keys ['cycles', 'hit_rate']",
     }
     expect_pass = {"good.jsonl", "truncated.jsonl"}
     failures = []
