@@ -19,6 +19,8 @@
  *     with conventional DDR below the cache the benefit should shrink.
  */
 
+#include <iterator>
+
 #include "bench_common.hpp"
 
 using namespace accord;
@@ -26,14 +28,25 @@ using namespace accord;
 namespace
 {
 
-sim::SystemMetrics
-runWith(const std::string &workload, sim::SystemConfig config,
-        const Config &cli)
+/**
+ * Run make(v, workload) for every variant v < variants and every
+ * workload as one batch; returns metrics[v][w].
+ */
+template <typename Make>
+std::vector<std::vector<sim::SystemMetrics>>
+runGrid(std::size_t variants, const std::vector<std::string> &workloads,
+        const Config &cli, Make make)
 {
-    config.workload = workload;
-    config.runTimed = false;
-    sim::applyCliOverrides(config, cli);
-    return sim::runSystem(config);
+    std::vector<sim::SystemConfig> configs;
+    for (std::size_t v = 0; v < variants; ++v) {
+        for (const auto &workload : workloads)
+            configs.push_back(make(v, workload));
+    }
+    std::vector<sim::SystemMetrics> metrics = sim::runBatch(configs, cli);
+    std::vector<std::vector<sim::SystemMetrics>> grid(variants);
+    for (std::size_t i = 0; i < metrics.size(); ++i)
+        grid[i / workloads.size()].push_back(std::move(metrics[i]));
+    return grid;
 }
 
 } // namespace
@@ -54,21 +67,23 @@ main(int argc, char **argv)
             "gws_table_size",
             {"rit/rlt entries", "wp-acc (amean)",
              "storage (bytes)"});
-        for (const unsigned entries : {8u, 16u, 32u, 64u, 128u, 256u}) {
-            std::vector<double> acc;
-            std::uint64_t storage = 0;
-            for (const auto &workload : workloads) {
+        const unsigned entries[] = {8u, 16u, 32u, 64u, 128u, 256u};
+        const auto grid = runGrid(
+            std::size(entries), workloads, cli,
+            [&](std::size_t v, const std::string &workload) {
                 sim::SystemConfig config =
-                    sim::namedConfig(workload, "2way-pws+gws");
-                config.policyOpts.gwsEntries = entries;
-                const auto m = runWith(workload, config, cli);
+                    sim::resolve(workload, "2way-pws+gws", false, cli);
+                config.policyOpts.gwsEntries = entries[v];
+                return config;
+            });
+        for (std::size_t v = 0; v < grid.size(); ++v) {
+            std::vector<double> acc;
+            for (const sim::SystemMetrics &m : grid[v])
                 acc.push_back(m.wpAccuracy);
-                storage = m.policyStorageBits / 8;
-            }
             table.row()
-                .cell(std::to_string(entries))
+                .cell(std::to_string(entries[v]))
                 .percent(amean(acc))
-                .cell(storage);
+                .cell(grid[v].back().policyStorageBits / 8);
         }
     }
 
@@ -78,13 +93,18 @@ main(int argc, char **argv)
             "dcp_way_bits",
             {"writeback routing", "xfers/read (amean)",
              "wb probe transfers / wb"});
-        for (const bool dcp : {true, false}) {
-            std::vector<double> xfers, probes;
-            for (const auto &workload : workloads) {
+        const bool dcp[] = {true, false};
+        const auto grid = runGrid(
+            std::size(dcp), workloads, cli,
+            [&](std::size_t v, const std::string &workload) {
                 sim::SystemConfig config =
-                    sim::namedConfig(workload, "2way-pws+gws");
-                config.dcpWayBits = dcp;
-                const auto m = runWith(workload, config, cli);
+                    sim::resolve(workload, "2way-pws+gws", false, cli);
+                config.dcpWayBits = dcp[v];
+                return config;
+            });
+        for (std::size_t v = 0; v < grid.size(); ++v) {
+            std::vector<double> xfers, probes;
+            for (const sim::SystemMetrics &m : grid[v]) {
                 xfers.push_back(m.transfersPerRead);
                 const auto &s = m.cacheStats;
                 const double wbs =
@@ -97,7 +117,7 @@ main(int argc, char **argv)
                                  / wbs);
             }
             table.row()
-                .cell(dcp ? "DCP + way bits (paper)" : "probe per wb")
+                .cell(dcp[v] ? "DCP + way bits (paper)" : "probe per wb")
                 .cell(amean(xfers), 3)
                 .cell(amean(probes), 2);
         }
@@ -108,18 +128,23 @@ main(int argc, char **argv)
         report::ReportTable &table = rep.table(
             "sws_k", {"design", "hit-rate (amean)",
                       "miss-confirm probes"});
-        for (const unsigned k : {2u, 3u, 4u, 8u}) {
-            std::vector<double> hits;
-            for (const auto &workload : workloads) {
+        const unsigned ks[] = {2u, 3u, 4u, 8u};
+        const auto grid = runGrid(
+            std::size(ks), workloads, cli,
+            [&](std::size_t v, const std::string &workload) {
                 sim::SystemConfig config =
-                    sim::namedConfig(workload, "8way-sws+gws");
-                config.policyOpts.swsK = k;
-                hits.push_back(runWith(workload, config, cli).hitRate);
-            }
+                    sim::resolve(workload, "8way-sws+gws", false, cli);
+                config.policyOpts.swsK = ks[v];
+                return config;
+            });
+        for (std::size_t v = 0; v < grid.size(); ++v) {
+            std::vector<double> hits;
+            for (const sim::SystemMetrics &m : grid[v])
+                hits.push_back(m.hitRate);
             table.row()
-                .cell("SWS(8," + std::to_string(k) + ")")
+                .cell("SWS(8," + std::to_string(ks[v]) + ")")
                 .percent(amean(hits))
-                .cell(std::to_string(k));
+                .cell(std::to_string(ks[v]));
         }
     }
 
@@ -129,12 +154,12 @@ main(int argc, char **argv)
             "l4_replacement",
             {"replacement", "hit-rate (amean)",
              "xfers/read (amean)", "update writes/hit"});
-        for (const char *name : {"2way-serial", "2way-lru"}) {
+        const bench::FunctionalSweep sweep(
+            workloads, {"2way-serial", "2way-lru"}, cli);
+        for (const std::string &name : sweep.configs()) {
             std::vector<double> hits, xfers, updates;
-            for (const auto &workload : workloads) {
-                sim::SystemConfig config =
-                    sim::namedConfig(workload, name);
-                const auto m = runWith(workload, config, cli);
+            for (std::size_t w = 0; w < workloads.size(); ++w) {
+                const sim::SystemMetrics &m = sweep.metrics(name, w);
                 hits.push_back(m.hitRate);
                 xfers.push_back(m.transfersPerRead);
                 const auto &s = m.cacheStats;
@@ -146,7 +171,7 @@ main(int argc, char **argv)
                             / static_cast<double>(s.readHits.hits()));
             }
             table.row()
-                .cell(name == std::string("2way-lru")
+                .cell(name == "2way-lru"
                           ? "LRU (in-DRAM state)"
                           : "random (update-free)")
                 .percent(amean(hits))
@@ -162,26 +187,28 @@ main(int argc, char **argv)
                               "row-hit rate"});
         const std::vector<std::string> subset = {"sphinx", "libq",
                                                  "wrf", "gcc", "mcf"};
-        for (const auto mode :
-             {dramcache::LayoutMode::RowCoLocated,
-              dramcache::LayoutMode::WayStriped}) {
+        const dramcache::LayoutMode layouts[] = {
+            dramcache::LayoutMode::RowCoLocated,
+            dramcache::LayoutMode::WayStriped};
+        // Variant 0 is the dm baseline, 1 + l is ACCORD on layouts[l].
+        const auto grid = runGrid(
+            1 + std::size(layouts), subset, cli,
+            [&](std::size_t v, const std::string &workload) {
+                sim::SystemConfig config = sim::resolve(
+                    workload, v == 0 ? "dm" : "2way-pws+gws", true, cli);
+                if (v > 0)
+                    config.layout = layouts[v - 1];
+                return config;
+            });
+        for (std::size_t l = 0; l < std::size(layouts); ++l) {
             std::vector<double> speedups, row_hits;
-            for (const auto &workload : subset) {
-                sim::SystemConfig base =
-                    sim::baselineConfig(workload);
-                sim::applyCliOverrides(base, cli);
-                const auto dm = sim::runSystem(base);
-
-                sim::SystemConfig config =
-                    sim::namedConfig(workload, "2way-pws+gws");
-                config.layout = mode;
-                sim::applyCliOverrides(config, cli);
-                const auto m = sim::runSystem(config);
-                speedups.push_back(sim::weightedSpeedup(m, dm));
+            for (std::size_t w = 0; w < subset.size(); ++w) {
+                const sim::SystemMetrics &m = grid[1 + l][w];
+                speedups.push_back(sim::weightedSpeedup(m, grid[0][w]));
                 row_hits.push_back(m.hbmStats.rowHitRate());
             }
             table.row()
-                .cell(mode == dramcache::LayoutMode::RowCoLocated
+                .cell(layouts[l] == dramcache::LayoutMode::RowCoLocated
                           ? "ways share a row (paper)"
                           : "ways striped over banks")
                 .cell(geomean(speedups), 3)
@@ -196,25 +223,24 @@ main(int argc, char **argv)
             {"main memory", "accord speedup (gmean)"});
         const std::vector<std::string> subset = {"libq", "wrf", "gcc",
                                                  "soplex", "mcf"};
-        for (const bool nvm_mem : {true, false}) {
+        const bool nvm_mem[] = {true, false};
+        // Variant t is the dm baseline on nvm_mem[t], 2 + t is ACCORD.
+        const auto grid = runGrid(
+            2 * std::size(nvm_mem), subset, cli,
+            [&](std::size_t v, const std::string &workload) {
+                sim::SystemConfig config = sim::resolve(
+                    workload, v < 2 ? "dm" : "2way-pws+gws", true, cli);
+                config.nvmMainMemory = nvm_mem[v % 2];
+                return config;
+            });
+        for (std::size_t t = 0; t < std::size(nvm_mem); ++t) {
             std::vector<double> speedups;
-            for (const auto &workload : subset) {
-                sim::SystemConfig base =
-                    sim::baselineConfig(workload);
-                base.nvmMainMemory = nvm_mem;
-                sim::applyCliOverrides(base, cli);
-                const auto dm = sim::runSystem(base);
-
-                sim::SystemConfig config =
-                    sim::namedConfig(workload, "2way-pws+gws");
-                config.nvmMainMemory = nvm_mem;
-                sim::applyCliOverrides(config, cli);
+            for (std::size_t w = 0; w < subset.size(); ++w)
                 speedups.push_back(
-                    sim::weightedSpeedup(sim::runSystem(config), dm));
-            }
+                    sim::weightedSpeedup(grid[2 + t][w], grid[t][w]));
             table.row()
-                .cell(nvm_mem ? "PCM-class NVM (paper)"
-                              : "conventional DDR")
+                .cell(nvm_mem[t] ? "PCM-class NVM (paper)"
+                                 : "conventional DDR")
                 .cell(geomean(speedups), 3);
         }
     }

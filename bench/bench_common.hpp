@@ -2,23 +2,28 @@
  * @file
  * Shared scaffolding for the table/figure-regeneration benches.
  *
- * Every bench binary regenerates one table or figure of the paper: it
- * sweeps the paper's configurations over the calibrated workload suite
- * and emits the same rows/series the paper reports through a
- * report::Reporter, which prints the human-readable tables and, when
- * --json=<path> / --csv=<path> are given, writes the machine-readable
- * run report built from the very same cells.
+ * Every bench binary regenerates one table or figure of the paper.
+ * It resolves each run's SystemConfig once (sim::resolve), hands the
+ * batch to sim::runBatch, which rejects a mistyped key before the
+ * first simulation and fans the runs out over the sweep pool (jobs=),
+ * and emits the rows/series the paper reports through a
+ * report::Reporter.  The Reporter prints the human-readable tables
+ * and, when --json=<path> / --csv=<path> are given, writes the
+ * machine-readable run report built from the very same cells.
+ * SpeedupSweep and FunctionalSweep are the two common batch shapes;
+ * each keeps the configs it ran, so record() writes exactly those.
  */
 
 #ifndef ACCORD_BENCH_COMMON_HPP
 #define ACCORD_BENCH_COMMON_HPP
 
-#include <map>
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/log.hpp"
 #include "common/stats.hpp"
 #include "sim/report/reporter.hpp"
 #include "sim/runner.hpp"
@@ -27,44 +32,6 @@
 
 namespace accord::bench
 {
-
-/** Resolve one functional (untimed) configuration. */
-inline sim::SystemConfig
-functionalConfig(const std::string &workload, const std::string &name,
-                 const Config &cli)
-{
-    sim::SystemConfig config = sim::namedConfig(workload, name);
-    config.runTimed = false;
-    sim::applyCliOverrides(config, cli);
-    return config;
-}
-
-/** Resolve one timed configuration. */
-inline sim::SystemConfig
-timedConfig(const std::string &workload, const std::string &name,
-            const Config &cli)
-{
-    sim::SystemConfig config = sim::namedConfig(workload, name);
-    config.runTimed = true;
-    sim::applyCliOverrides(config, cli);
-    return config;
-}
-
-/** Run one functional (untimed) configuration. */
-inline sim::SystemMetrics
-runFunctional(const std::string &workload, const std::string &name,
-              const Config &cli)
-{
-    return sim::runSystem(functionalConfig(workload, name, cli));
-}
-
-/** Run one timed configuration. */
-inline sim::SystemMetrics
-runTimed(const std::string &workload, const std::string &name,
-         const Config &cli)
-{
-    return sim::runSystem(timedConfig(workload, name, cli));
-}
 
 /**
  * Record one finished run into the report: its canonical config spec,
@@ -89,51 +56,73 @@ recordRun(report::RunReport &report, const std::string &key,
 }
 
 /**
- * Timed sweep: for each workload, run the baseline once and every
- * named configuration, returning speedups[config][workload-index] and
- * appending "gmean" semantics to the caller.
- *
- * All (workload, config) runs fan out over a sim::SweepRunner; the
- * jobs= CLI override picks the worker count (default: all hardware
- * threads) and results are bit-identical for any value of it.
+ * Position of `config` in a sweep's config list, once `workload` is
+ * known to index its `workloads`.
+ */
+inline std::size_t
+configIndex(const std::vector<std::string> &configs,
+            const std::string &config, std::size_t workload,
+            std::size_t workloads)
+{
+    const auto it = std::find(configs.begin(), configs.end(), config);
+    ACCORD_ASSERT(it != configs.end() && workload < workloads,
+                  "config '%s' on workload %zu is not in the sweep",
+                  config.c_str(), workload);
+    return static_cast<std::size_t>(it - configs.begin());
+}
+
+/**
+ * Timed sweep: for each workload, the direct-mapped baseline once and
+ * every named configuration, with speedups over the baseline.  One
+ * batch, the baselines first, then the configurations workload-major;
+ * that order names each run's trace=/telemetry= .runN file.
  */
 class SpeedupSweep
 {
   public:
     SpeedupSweep(std::vector<std::string> workloads,
                  std::vector<std::string> configs, const Config &cli)
-        : result_(sim::SweepRunner(cli).runSpeedupSweep(
-              std::move(workloads), std::move(configs), cli))
+        : workloads_(std::move(workloads)), configs_(std::move(configs))
     {
+        for (const auto &workload : workloads_)
+            runs_.push_back(sim::resolve(workload, "dm", true, cli));
+        for (const auto &workload : workloads_) {
+            for (const auto &name : configs_)
+                runs_.push_back(sim::resolve(workload, name, true, cli));
+        }
+        metrics_ = sim::runBatch(runs_, cli);
     }
 
     const std::vector<std::string> &workloads() const
-        { return result_.workloads; }
-    const std::vector<std::string> &configs() const
-        { return result_.configs; }
+        { return workloads_; }
+    const std::vector<std::string> &configs() const { return configs_; }
 
     double
     speedup(const std::string &config, std::size_t workload) const
     {
-        return result_.speedups.at(config).at(workload);
+        return sim::weightedSpeedup(metrics(config, workload),
+                                    baseline(workload));
     }
 
     double
     gmean(const std::string &config) const
     {
-        return geomean(result_.speedups.at(config));
+        std::vector<double> speedups;
+        for (std::size_t w = 0; w < workloads_.size(); ++w)
+            speedups.push_back(speedup(config, w));
+        return geomean(speedups);
     }
 
     const sim::SystemMetrics &
     metrics(const std::string &config, std::size_t workload) const
     {
-        return result_.metrics.at(config).at(workload);
+        return metrics_.at(index(config, workload));
     }
 
     const sim::SystemMetrics &
     baseline(std::size_t workload) const
     {
-        return result_.baselines.at(workload);
+        return metrics_.at(workload);
     }
 
     /** Build the per-workload speedup table plus the gmean row. */
@@ -156,51 +145,57 @@ class SpeedupSweep
     }
 
     /**
-     * Record every run of the sweep (baselines and configurations)
-     * into the report, keyed "<workload>/dm" and "<workload>/<config>",
-     * with the per-run "speedup" derived value attached.  Rebuilds
-     * each SystemConfig exactly as the sweep runner did, so the
-     * recorded canonical specs match the runs.
+     * Record every run of the sweep (baselines and configurations),
+     * keyed "<workload>/dm" and "<workload>/<config>", with the
+     * per-run "speedup" derived value attached.
      */
     void
-    record(report::Reporter &rep) const
+    record(report::RunReport &report) const
     {
-        report::RunReport &report = rep.report();
-        for (std::size_t w = 0; w < workloads().size(); ++w) {
-            const std::string &workload = workloads()[w];
-            sim::SystemConfig base = sim::baselineConfig(workload);
-            sim::applyCliOverrides(base, rep.cli());
-            recordRun(report, workload + "/dm", base, baseline(w));
-            for (const auto &name : configs()) {
+        for (std::size_t w = 0; w < workloads_.size(); ++w) {
+            const std::string &workload = workloads_[w];
+            recordRun(report, workload + "/dm", runs_[w], metrics_[w]);
+            for (const auto &name : configs_) {
                 const std::string key = workload + "/" + name;
-                recordRun(report, key,
-                          timedConfig(workload, name, rep.cli()),
-                          metrics(name, w));
+                const std::size_t i = index(name, w);
+                recordRun(report, key, runs_[i], metrics_[i]);
                 report.addRunValue(key, "speedup", speedup(name, w));
             }
         }
     }
 
   private:
-    sim::SweepResult result_;
+    /** Batch position: after the baselines, workload-major. */
+    std::size_t
+    index(const std::string &config, std::size_t workload) const
+    {
+        return workloads_.size() + workload * configs_.size()
+            + configIndex(configs_, config, workload, workloads_.size());
+    }
+
+    std::vector<std::string> workloads_;
+    std::vector<std::string> configs_;
+    std::vector<sim::SystemConfig> runs_;
+    std::vector<sim::SystemMetrics> metrics_;
 };
 
 /**
- * Functional sweep: every (workload, config) untimed measurement run,
- * fanned out over a sim::SweepRunner like SpeedupSweep.  Benches that
- * tabulate hit rates or prediction accuracy iterate the grid instead
- * of calling runFunctional() in nested serial loops.
+ * Functional sweep: every (workload, config) untimed measurement run
+ * in one batch, config-major.  Benches that tabulate hit rates or
+ * prediction accuracy iterate the grid.
  */
 class FunctionalSweep
 {
   public:
     FunctionalSweep(std::vector<std::string> workloads,
                     std::vector<std::string> configs, const Config &cli)
-        : workloads_(std::move(workloads)),
-          configs_(std::move(configs)),
-          grid_(sim::SweepRunner(cli).runFunctionalGrid(
-              workloads_, configs_, cli))
+        : workloads_(std::move(workloads)), configs_(std::move(configs))
     {
+        for (const auto &name : configs_) {
+            for (const auto &workload : workloads_)
+                runs_.push_back(sim::resolve(workload, name, false, cli));
+        }
+        metrics_ = sim::runBatch(runs_, cli);
     }
 
     const std::vector<std::string> &workloads() const
@@ -210,38 +205,46 @@ class FunctionalSweep
     const sim::SystemMetrics &
     metrics(const std::string &config, std::size_t workload) const
     {
-        return grid_.at(config).at(workload);
+        return metrics_.at(index(config, workload));
     }
 
-    /** One metric over all workloads of a config, for amean()/geomean(). */
+    /** Arithmetic mean of one metric over all workloads of a config. */
     template <typename Fn>
-    std::vector<double>
-    column(const std::string &config, Fn &&metric) const
+    double
+    mean(const std::string &config, Fn &&metric) const
     {
         std::vector<double> values;
-        for (const sim::SystemMetrics &m : grid_.at(config))
-            values.push_back(metric(m));
-        return values;
+        for (std::size_t w = 0; w < workloads_.size(); ++w)
+            values.push_back(metric(metrics(config, w)));
+        return amean(values);
     }
 
     /** Record every run of the grid, keyed "<workload>/<config>". */
     void
-    record(report::Reporter &rep) const
+    record(report::RunReport &report) const
     {
         for (const auto &name : configs_) {
             for (std::size_t w = 0; w < workloads_.size(); ++w) {
-                recordRun(rep.report(), workloads_[w] + "/" + name,
-                          functionalConfig(workloads_[w], name,
-                                           rep.cli()),
-                          metrics(name, w));
+                const std::size_t i = index(name, w);
+                recordRun(report, workloads_[w] + "/" + name, runs_[i],
+                          metrics_[i]);
             }
         }
     }
 
   private:
+    /** Batch position: config-major. */
+    std::size_t
+    index(const std::string &config, std::size_t workload) const
+    {
+        return configIndex(configs_, config, workload, workloads_.size())
+            * workloads_.size() + workload;
+    }
+
     std::vector<std::string> workloads_;
     std::vector<std::string> configs_;
-    std::map<std::string, std::vector<sim::SystemMetrics>> grid_;
+    std::vector<sim::SystemConfig> runs_;
+    std::vector<sim::SystemMetrics> metrics_;
 };
 
 } // namespace accord::bench

@@ -28,20 +28,17 @@ main(int argc, char **argv)
 
     // (a) hit rate by associativity (functional, long streams).
     {
-        std::vector<double> rates[4];
-        const char *configs[4] = {"dm", "2way-rand", "4way-rand",
-                                  "8way-rand"};
-        for (const auto &workload : workloads) {
-            for (int i = 0; i < 4; ++i)
-                rates[i].push_back(
-                    bench::runFunctional(workload, configs[i], cli)
-                        .hitRate);
-        }
+        const bench::FunctionalSweep sweep(
+            workloads, {"dm", "2way-rand", "4way-rand", "8way-rand"},
+            cli);
         report::ReportTable &table = rep.table(
             "hit_rate_vs_ways", {"ways", "hit-rate (amean)"});
         const char *labels[4] = {"1-way", "2-way", "4-way", "8-way"};
-        for (int i = 0; i < 4; ++i)
-            table.row().cell(labels[i]).percent(amean(rates[i]));
+        for (std::size_t i = 0; i < 4; ++i) {
+            table.row().cell(labels[i]).percent(sweep.mean(
+                sweep.configs()[i],
+                [](const sim::SystemMetrics &m) { return m.hitRate; }));
+        }
     }
 
     // (b)+(c) speedups of parallel and idealized designs.

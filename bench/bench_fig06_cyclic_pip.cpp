@@ -64,6 +64,7 @@ main(int argc, char **argv)
         argc, argv, "Figure 6: cyclic-reference kernel vs PIP",
         "Fig 6 (hit rate of (a,b)^N under PWS for PIP=50..90%)");
     const std::uint64_t seed = rep.cli().getUint("seed", 1);
+    rep.cli().checkConsumed();
 
     const double pips[] = {0.50, 0.70, 0.80, 0.90};
     report::ReportTable &table = rep.table(

@@ -26,7 +26,7 @@ main(int argc, char **argv)
                                      "2way-pws+gws", "2way-perfect"},
                                     rep.cli());
     sweep.addTable(rep, "speedup_2way");
-    sweep.record(rep);
+    sweep.record(rep.report());
 
     return rep.finish();
 }

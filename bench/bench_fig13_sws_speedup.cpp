@@ -25,7 +25,7 @@ main(int argc, char **argv)
                                      "8way-sws+gws"},
                                     rep.cli());
     sweep.addTable(rep, "sws_speedup");
-    sweep.record(rep);
+    sweep.record(rep.report());
 
     return rep.finish();
 }

@@ -24,7 +24,7 @@ main(int argc, char **argv)
                                      "2way-pws+gws"},
                                     rep.cli());
     sweep.addTable(rep, "wp_speedup");
-    sweep.record(rep);
+    sweep.record(rep.report());
     rep.note("SRAM cost on the full 4GB cache: CA-cache 0, MRU 4MB, "
              "partial-tag 32MB, ACCORD 320 bytes.");
 

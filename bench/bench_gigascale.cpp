@@ -85,14 +85,12 @@ main(int argc, char **argv)
         return config;
     };
 
-    sim::SystemConfig base =
-        atFullScale(sim::baselineConfig(workload));
+    sim::SystemConfig base = atFullScale(sim::namedConfig(workload, "dm"));
     sim::SystemConfig accord =
         atFullScale(sim::namedConfig(workload, config_name));
 
     const std::vector<sim::SystemMetrics> metrics =
-        sim::SweepRunner(rep.cli())
-            .runConfigs({base, accord});
+        sim::runBatch({base, accord}, rep.cli());
     const double speedup = sim::weightedSpeedup(metrics[1], metrics[0]);
 
     report::ReportTable &table = rep.table(

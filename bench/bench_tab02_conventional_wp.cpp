@@ -16,21 +16,6 @@ using namespace accord;
 namespace
 {
 
-/** Mean prediction accuracy of a policy over the main workloads. */
-double
-meanAccuracy(const std::string &spec, unsigned ways, const Config &cli)
-{
-    std::vector<double> acc;
-    for (const auto &workload : trace::mainWorkloadNames()) {
-        sim::SystemConfig config = sim::namedConfig(
-            workload, std::to_string(ways) + "way-" + spec);
-        config.runTimed = false;
-        sim::applyCliOverrides(config, cli);
-        acc.push_back(sim::runSystem(config).wpAccuracy);
-    }
-    return amean(acc);
-}
-
 /** SRAM bytes a policy needs on the paper's full 4GB cache. */
 std::uint64_t
 fullScaleStorageBytes(const std::string &spec, unsigned ways)
@@ -68,7 +53,16 @@ main(int argc, char **argv)
         argc, argv, "Table II: conventional way predictors",
         "Table II (accuracy and storage of Rand/MRU/Partial-Tag on a "
         "4GB cache)");
-    const Config &cli = rep.cli();
+    const bench::FunctionalSweep sweep(
+        trace::mainWorkloadNames(),
+        {"2way-rand", "2way-mru", "2way-ptag", "4way-rand", "4way-mru",
+         "4way-ptag", "8way-rand", "8way-mru", "8way-ptag"},
+        rep.cli());
+    const auto accuracy = [&sweep](unsigned ways, const char *spec) {
+        return sweep.mean(
+            std::to_string(ways) + "way-" + spec,
+            [](const sim::SystemMetrics &m) { return m.wpAccuracy; });
+    };
 
     report::ReportTable &table = rep.table(
         "conventional_wp", {"ways", "rand acc", "mru acc", "ptag acc",
@@ -76,9 +70,9 @@ main(int argc, char **argv)
     for (unsigned ways : {2u, 4u, 8u}) {
         table.row()
             .cell(std::to_string(ways) + "-way")
-            .percent(meanAccuracy("rand", ways, cli))
-            .percent(meanAccuracy("mru", ways, cli))
-            .percent(meanAccuracy("ptag", ways, cli))
+            .percent(accuracy(ways, "rand"))
+            .percent(accuracy(ways, "mru"))
+            .percent(accuracy(ways, "ptag"))
             .cell("0B")
             .cell(humanBytes(fullScaleStorageBytes("mru", ways)))
             .cell(humanBytes(fullScaleStorageBytes("ptag", ways)));

@@ -12,20 +12,6 @@
 
 using namespace accord;
 
-namespace
-{
-
-sim::SystemConfig
-pwsConfig(const std::string &workload, double pip, const Config &cli)
-{
-    sim::SystemConfig config = sim::namedConfig(workload, "2way-pws");
-    config.policyOpts.pip = pip;
-    sim::applyCliOverrides(config, cli);
-    return config;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -35,33 +21,38 @@ main(int argc, char **argv)
     const Config &cli = rep.cli();
 
     const auto workloads = trace::mainWorkloadNames();
+    const double pips[] = {0.50, 0.60, 0.70, 0.80, 0.85, 0.90, 1.00};
 
-    // Baselines (timed) once per workload.
-    std::vector<sim::SystemMetrics> baselines;
-    for (const auto &workload : workloads) {
-        sim::SystemConfig base = sim::baselineConfig(workload);
-        sim::applyCliOverrides(base, cli);
-        baselines.push_back(sim::runSystem(base));
+    // Timed baselines once per workload, then per PIP and workload a
+    // functional run (stable hit/accuracy numbers) and a timed run
+    // (the speedup).
+    std::vector<sim::SystemConfig> configs;
+    for (const auto &workload : workloads)
+        configs.push_back(sim::resolve(workload, "dm", true, cli));
+    for (const double pip : pips) {
+        for (const auto &workload : workloads) {
+            for (const bool timed : {false, true}) {
+                sim::SystemConfig config =
+                    sim::resolve(workload, "2way-pws", timed, cli);
+                config.policyOpts.pip = pip;
+                configs.push_back(std::move(config));
+            }
+        }
     }
+    const std::vector<sim::SystemMetrics> metrics =
+        sim::runBatch(configs, cli);
 
     report::ReportTable &table = rep.table(
         "pws_pip", {"organization", "hit-rate", "wp-acc", "speedup"});
-    for (const double pip : {0.50, 0.60, 0.70, 0.80, 0.85, 0.90, 1.00}) {
+    std::size_t i = workloads.size();
+    for (const double pip : pips) {
         std::vector<double> hits, accs, speedups;
         for (std::size_t w = 0; w < workloads.size(); ++w) {
-            // Functional pass for stable hit/accuracy numbers.
-            sim::SystemConfig fconfig =
-                pwsConfig(workloads[w], pip, cli);
-            fconfig.runTimed = false;
-            const auto fm = sim::runSystem(fconfig);
+            const sim::SystemMetrics &fm = metrics[i++];
+            const sim::SystemMetrics &tm = metrics[i++];
             hits.push_back(fm.hitRate);
             accs.push_back(fm.wpAccuracy);
-
-            // Timed pass for the speedup.
-            const auto tm =
-                sim::runSystem(pwsConfig(workloads[w], pip, cli));
-            speedups.push_back(
-                sim::weightedSpeedup(tm, baselines[w]));
+            speedups.push_back(sim::weightedSpeedup(tm, metrics[w]));
         }
         char label[48];
         if (pip >= 1.0)

@@ -29,11 +29,10 @@ main(int argc, char **argv)
     report::ReportTable &table =
         rep.table("hit_rate", {"organization", "hit-rate (amean)"});
     for (std::size_t c = 0; c < configs.size(); ++c) {
-        const std::vector<double> hits = sweep.column(
+        table.row().cell(labels[c]).percent(sweep.mean(
             configs[c],
-            [](const sim::SystemMetrics &m) { return m.hitRate; });
-        table.row().cell(labels[c]).percent(amean(hits));
+            [](const sim::SystemMetrics &m) { return m.hitRate; }));
     }
-    sweep.record(rep);
+    sweep.record(rep.report());
     return rep.finish();
 }

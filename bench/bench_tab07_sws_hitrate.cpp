@@ -42,7 +42,9 @@ main(int argc, char **argv)
         table.row()
             .cell(labels[c])
             .percent(amean(hits))
-            .cell(probes / 21.0, 1);
+            .cell(probes
+                      / static_cast<double>(sweep.workloads().size()),
+                  1);
     }
     return rep.finish();
 }

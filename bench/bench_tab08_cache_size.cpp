@@ -20,23 +20,31 @@ main(int argc, char **argv)
         "Table VIII (ACCORD SWS(8,2) speedup vs 1/2/4/8 GB cache)");
     const Config &cli = rep.cli();
 
+    // Per cache size and workload: the baseline, then ACCORD.
+    const auto workloads = trace::mainWorkloadNames();
+    const std::uint64_t sizes_gb[] = {1, 2, 4, 8};
+    std::vector<sim::SystemConfig> configs;
+    for (const std::uint64_t gb : sizes_gb) {
+        for (const auto &workload : workloads) {
+            for (const char *name : {"dm", "8way-sws+gws"}) {
+                sim::SystemConfig config =
+                    sim::resolve(workload, name, true, cli);
+                config.fullCacheBytes = gb << 30;
+                configs.push_back(std::move(config));
+            }
+        }
+    }
+    const std::vector<sim::SystemMetrics> metrics =
+        sim::runBatch(configs, cli);
+
     report::ReportTable &table = rep.table(
         "cache_size", {"cache size", "accord speedup (gmean)"});
-    for (const std::uint64_t gb : {1ULL, 2ULL, 4ULL, 8ULL}) {
+    std::size_t i = 0;
+    for (const std::uint64_t gb : sizes_gb) {
         std::vector<double> speedups;
-        for (const auto &workload : trace::mainWorkloadNames()) {
-            sim::SystemConfig base = sim::baselineConfig(workload);
-            sim::applyCliOverrides(base, cli);
-            base.fullCacheBytes = gb << 30;
-            const auto base_metrics = sim::runSystem(base);
-
-            sim::SystemConfig accord =
-                sim::namedConfig(workload, "8way-sws+gws");
-            sim::applyCliOverrides(accord, cli);
-            accord.fullCacheBytes = gb << 30;
-            const auto m = sim::runSystem(accord);
-            speedups.push_back(sim::weightedSpeedup(m, base_metrics));
-        }
+        for (std::size_t w = 0; w < workloads.size(); ++w, i += 2)
+            speedups.push_back(
+                sim::weightedSpeedup(metrics[i + 1], metrics[i]));
         table.row()
             .cell(std::to_string(gb) + ".0GB")
             .cell(geomean(speedups), 3);

@@ -13,34 +13,28 @@
 
 using namespace accord;
 
-namespace
-{
-
-double
-meanAccuracy(const std::string &config_name, const Config &cli)
-{
-    std::vector<double> acc;
-    for (const auto &workload : trace::mainWorkloadNames())
-        acc.push_back(
-            bench::runFunctional(workload, config_name, cli)
-                .wpAccuracy);
-    return amean(acc);
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     report::Reporter rep(
         argc, argv, "Table X: way-predictor comparison",
         "Table X (CA-cache / MRU / Partial-Tag / ACCORD accuracy)");
-    const Config &cli = rep.cli();
+    const bench::FunctionalSweep sweep(
+        trace::mainWorkloadNames(),
+        {"ca", "2way-mru", "2way-ptag", "2way-pws+gws", "4way-mru",
+         "4way-ptag", "4way-sws+gws", "8way-mru", "8way-ptag",
+         "8way-sws+gws"},
+        rep.cli());
+    const auto meanAccuracy = [&sweep](const std::string &config) {
+        return sweep.mean(config, [](const sim::SystemMetrics &m) {
+            return m.wpAccuracy;
+        });
+    };
 
     report::ReportTable &table = rep.table(
         "wp_comparison", {"ways", "ca-cache", "mru", "ptag", "accord"});
 
-    const double ca2 = meanAccuracy("ca", cli);
+    const double ca2 = meanAccuracy("ca");
     for (unsigned ways : {2u, 4u, 8u}) {
         const std::string w = std::to_string(ways);
         const std::string accord =
@@ -51,9 +45,9 @@ main(int argc, char **argv)
         else
             table.cell("n/a");
         table
-            .percent(meanAccuracy(w + "way-mru", cli))
-            .percent(meanAccuracy(w + "way-ptag", cli))
-            .percent(meanAccuracy(accord, cli));
+            .percent(meanAccuracy(w + "way-mru"))
+            .percent(meanAccuracy(w + "way-ptag"))
+            .percent(meanAccuracy(accord));
     }
     rep.note("CA-cache first-probe hit rate (2-way equivalent): "
              "%.1f%%", ca2 * 100.0);

@@ -37,6 +37,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -76,12 +77,10 @@ constexpr Mode kModes[] = {
  * model, so the replay mode times trace decode + functional shell on
  * the same stream the other modes generate inline.
  */
-std::string
-recordReplayTrace(const std::string &workload, std::uint64_t records,
-                  std::uint64_t scale)
+void
+recordReplayTrace(const std::string &path, const std::string &workload,
+                  std::uint64_t records, std::uint64_t scale)
 {
-    const std::string path = "/tmp/accord_bench_replay_"
-        + std::to_string(::getpid()) + ".trc";
     const auto &spec = *trace::coreAssignment(workload, 1)[0];
     const auto params = trace::generatorParams(spec, 0, 1, scale, 1);
     trace::WorkloadGen gen(params);
@@ -90,7 +89,6 @@ recordReplayTrace(const std::string &workload, std::uint64_t records,
     for (std::uint64_t i = 0; i < records; ++i)
         writer.append(mixer.next());
     writer.close();
-    return path;
 }
 
 /** One repetition's wall-clock measurements. */
@@ -142,18 +140,11 @@ main(int argc, char **argv)
     const std::uint64_t trace_records =
         rep.cli().getUint("trace_records", 4'000'000);
 
-    const std::string trace_path = recordReplayTrace(
-        workload, trace_records, rep.cli().getUint("scale", 128));
+    const std::uint64_t scale = rep.cli().getUint("scale", 128);
+    const std::string trace_path = "/tmp/accord_bench_replay_"
+        + std::to_string(::getpid()) + ".trc";
 
-    report::ReportTable &table = rep.table(
-        "throughput",
-        {"mode", "rep", "wall_s", "reads", "reads/s", "events",
-         "events/s"});
-
-    double timed_best_rps = 0.0;
-    double telem_best_rps = 0.0;
-    double paged_best_rps = 0.0;
-
+    std::vector<sim::SystemConfig> configs;
     for (const Mode &mode : kModes) {
         sim::SystemConfig config =
             sim::namedConfig(workload, config_name);
@@ -187,7 +178,24 @@ main(int argc, char **argv)
             // indirection against the dense "timed" control.
             config.stateBackend = dramcache::StateBackend::Paged;
         }
+        configs.push_back(std::move(config));
+    }
+    // Every key is read: reject a typo before recording the trace.
+    rep.cli().checkConsumed();
+    recordReplayTrace(trace_path, workload, trace_records, scale);
 
+    report::ReportTable &table = rep.table(
+        "throughput",
+        {"mode", "rep", "wall_s", "reads", "reads/s", "events",
+         "events/s"});
+
+    double timed_best_rps = 0.0;
+    double telem_best_rps = 0.0;
+    double paged_best_rps = 0.0;
+
+    for (std::size_t m = 0; m < std::size(kModes); ++m) {
+        const Mode &mode = kModes[m];
+        const sim::SystemConfig &config = configs[m];
         Rep best;
         for (unsigned r = 0; r < reps; ++r) {
             const Rep sample = timeOne(config);

@@ -87,6 +87,8 @@ main(int argc, char **argv)
         {"workload", "full_acc", "sampled_acc", "event_ratio",
          "hitrate_delta_pp"});
 
+    // A full and a sampled run per workload, in one batch.
+    std::vector<sim::SystemConfig> configs;
     for (const std::string &workload : workloads) {
         // Both runs replay the same bounded stream, single-core, to
         // exhaustion.  The warm phase consumes the first warm=
@@ -104,15 +106,18 @@ main(int argc, char **argv)
         config.trafficSpec = tracefile.empty()
             ? "synthetic(limit=" + std::to_string(records) + ")"
             : "trace(file=" + tracefile + ",loop=0,stripe=0)";
+        config.sampleSpec.clear();
+        configs.push_back(config);
+        config.sampleSpec = sample_spec;
+        configs.push_back(config);
+    }
+    const std::vector<sim::SystemMetrics> metrics =
+        sim::runBatch(configs, rep.cli());
 
-        sim::SystemConfig full_config = config;
-        full_config.sampleSpec.clear();
-        const sim::SystemMetrics full = sim::runSystem(full_config);
-
-        sim::SystemConfig sampled_config = config;
-        sampled_config.sampleSpec = sample_spec;
-        const sim::SystemMetrics sampled =
-            sim::runSystem(sampled_config);
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        const std::string &workload = workloads[w];
+        const sim::SystemMetrics &full = metrics[2 * w];
+        const sim::SystemMetrics &sampled = metrics[2 * w + 1];
 
         const auto ratio = full.accessesExecuted > 0
             ? static_cast<double>(sampled.accessesExecuted)
@@ -141,9 +146,9 @@ main(int argc, char **argv)
             .cell(delta_pp, 3);
 
         bench::recordRun(rep.report(), workload + "/full",
-                         full_config, full);
+                         configs[2 * w], full);
         bench::recordRun(rep.report(), workload + "/sampled",
-                         sampled_config, sampled);
+                         configs[2 * w + 1], sampled);
         rep.report().addRunValue(workload + "/sampled", "event_ratio",
                                  ratio);
         rep.report().addRunValue(workload + "/sampled",

@@ -14,10 +14,13 @@
  */
 
 #include <cstdio>
+#include <iterator>
+#include <utility>
 
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "sim/runner.hpp"
+#include "sim/sweep.hpp"
 
 using namespace accord;
 
@@ -28,33 +31,38 @@ main(int argc, char **argv)
     cli.parseArgs(argc, argv);
     const std::string workload = cli.getString("workload", "mix2");
 
+    // One batch: per cache size the baseline, then ACCORD.
+    const std::uint64_t sizes_gb[] = {1, 2, 4, 8};
+    std::vector<sim::SystemConfig> runs;
+    for (const std::uint64_t gb : sizes_gb) {
+        for (const char *name : {"dm", "8way-sws+gws"}) {
+            sim::SystemConfig config =
+                sim::resolve(workload, name, true, cli);
+            config.fullCacheBytes = gb << 30;
+            runs.push_back(std::move(config));
+        }
+    }
+    const std::vector<sim::SystemMetrics> metrics =
+        sim::runBatch(runs, cli);
+
     std::printf("capacity planning for workload '%s'\n\n",
                 workload.c_str());
+
+    auto read_latency = [](const sim::SystemMetrics &m) {
+        const auto &s = m.cacheStats;
+        const double hit = s.readHits.rate();
+        return hit * s.readHitLatency.mean()
+            + (1.0 - hit) * s.readMissLatency.mean();
+    };
 
     TextTable table({"cache size", "dm hit", "accord hit",
                      "dm read lat", "accord read lat",
                      "accord speedup"});
-    for (const std::uint64_t gb : {1ULL, 2ULL, 4ULL, 8ULL}) {
-        sim::SystemConfig base = sim::baselineConfig(workload);
-        sim::applyCliOverrides(base, cli);
-        base.fullCacheBytes = gb << 30;
-        const auto dm = sim::runSystem(base);
-
-        sim::SystemConfig accord =
-            sim::namedConfig(workload, "8way-sws+gws");
-        sim::applyCliOverrides(accord, cli);
-        accord.fullCacheBytes = gb << 30;
-        const auto m = sim::runSystem(accord);
-
-        auto read_latency = [](const sim::SystemMetrics &metrics) {
-            const auto &s = metrics.cacheStats;
-            const double hit = s.readHits.rate();
-            return hit * s.readHitLatency.mean()
-                + (1.0 - hit) * s.readMissLatency.mean();
-        };
-
+    for (std::size_t i = 0; i < std::size(sizes_gb); ++i) {
+        const sim::SystemMetrics &dm = metrics[2 * i];
+        const sim::SystemMetrics &m = metrics[2 * i + 1];
         table.row()
-            .cell(std::to_string(gb) + "GB")
+            .cell(std::to_string(sizes_gb[i]) + "GB")
             .percent(dm.hitRate)
             .percent(m.hitRate)
             .cell(read_latency(dm), 0)
@@ -64,7 +72,5 @@ main(int argc, char **argv)
     table.print();
     std::printf("\n(latencies in CPU cycles at 3 GHz; sizes are "
                 "full-scale equivalents, simulated at 1/scale)\n");
-
-    cli.checkConsumed();
     return 0;
 }

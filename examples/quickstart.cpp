@@ -22,16 +22,19 @@ main(int argc, char **argv)
     cli.parseArgs(argc, argv);
     const std::string workload = cli.getString("workload", "libq");
 
-    auto run = [&](const std::string &name) {
-        sim::SystemConfig config = sim::namedConfig(workload, name);
-        sim::applyCliOverrides(config, cli);
-        return sim::runSystem(config);
-    };
+    // Resolve both runs and reject a mistyped key before simulating.
+    // The runs are serial, so trace= or telemetry= names one file,
+    // which the ACCORD run writes last.
+    const sim::SystemConfig dm_config =
+        sim::resolve(workload, "dm", true, cli);
+    const sim::SystemConfig accord_config =
+        sim::resolve(workload, "2way-pws+gws", true, cli);
+    cli.checkConsumed();
 
     std::printf("workload: %s\n\n", workload.c_str());
 
-    const sim::SystemMetrics dm = run("dm");
-    const sim::SystemMetrics accord2 = run("2way-pws+gws");
+    const sim::SystemMetrics dm = sim::runSystem(dm_config);
+    const sim::SystemMetrics accord2 = sim::runSystem(accord_config);
 
     TextTable table({"config", "hit-rate", "wp-acc", "xfers/read",
                      "speedup", "sram-bytes"});
@@ -50,7 +53,5 @@ main(int argc, char **argv)
         .cell(sim::weightedSpeedup(accord2, dm), 3)
         .cell(accord2.policyStorageBits / 8);
     table.print();
-
-    cli.checkConsumed();
     return 0;
 }

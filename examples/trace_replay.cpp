@@ -114,11 +114,12 @@ main(int argc, char **argv)
     cli.parseArgs(argc, argv);
 
     std::string path = cli.getString("trace", "");
-    if (path.empty())
-        path = recordDemoTrace(2'000'000);
     const std::uint64_t capacity =
         cli.getUint("capacity", 32ULL << 20);
     const unsigned passes = cli.getUint32("passes", 4);
+    cli.checkConsumed();
+    if (path.empty())
+        path = recordDemoTrace(2'000'000);
 
     TextTable table({"config", "hit-rate", "wp-acc", "xfers/read"});
     replay(path, 1, "", capacity, passes, table);
@@ -126,7 +127,5 @@ main(int argc, char **argv)
     replay(path, 2, "pws+gws", capacity, passes, table);
     replay(path, 8, "sws+gws", capacity, passes, table);
     table.print();
-
-    cli.checkConsumed();
     return 0;
 }

@@ -14,24 +14,10 @@
 #include "common/config.hpp"
 #include "common/table.hpp"
 #include "sim/runner.hpp"
+#include "sim/sweep.hpp"
 #include "trace/workloads.hpp"
 
 using namespace accord;
-
-namespace
-{
-
-sim::SystemMetrics
-runFunctional(const std::string &workload, const std::string &name,
-              const Config &cli)
-{
-    sim::SystemConfig config = sim::namedConfig(workload, name);
-    config.runTimed = false;
-    sim::applyCliOverrides(config, cli);
-    return sim::runSystem(config);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -43,24 +29,32 @@ main(int argc, char **argv)
         ? trace::allWorkloadNames()
         : trace::mainWorkloadNames();
 
+    // One batch: every characterization config of each workload.
+    const std::vector<std::string> configs = {
+        "dm", "2way-rand", "4way-rand", "8way-rand",
+        "2way-pws", "2way-gws", "2way-pws+gws"};
+    std::vector<sim::SystemConfig> runs;
+    for (const auto &workload : names) {
+        for (const auto &name : configs)
+            runs.push_back(sim::resolve(workload, name, false, cli));
+    }
+    const std::vector<sim::SystemMetrics> metrics =
+        sim::runBatch(runs, cli);
+
     TextTable table({"workload", "dm", "2way", "4way", "8way",
                      "assoc-gain", "pws-acc", "gws-acc", "accord-acc"});
 
     std::vector<double> dm_rates, w8_rates;
-    for (const auto &workload : names) {
-        const auto dm = runFunctional(workload, "dm", cli);
-        const auto w2 = runFunctional(workload, "2way-rand", cli);
-        const auto w4 = runFunctional(workload, "4way-rand", cli);
-        const auto w8 = runFunctional(workload, "8way-rand", cli);
-        const auto pws = runFunctional(workload, "2way-pws", cli);
-        const auto gws = runFunctional(workload, "2way-gws", cli);
-        const auto acc = runFunctional(workload, "2way-pws+gws", cli);
+    for (std::size_t w = 0; w < names.size(); ++w) {
+        const sim::SystemMetrics *m = &metrics[w * configs.size()];
+        const auto &dm = m[0], &w2 = m[1], &w4 = m[2], &w8 = m[3];
+        const auto &pws = m[4], &gws = m[5], &acc = m[6];
 
         dm_rates.push_back(dm.hitRate);
         w8_rates.push_back(w8.hitRate);
 
         table.row()
-            .cell(workload)
+            .cell(names[w])
             .percent(dm.hitRate)
             .percent(w2.hitRate)
             .percent(w4.hitRate)
@@ -81,7 +75,5 @@ main(int argc, char **argv)
         .cell("")
         .cell("");
     table.print();
-
-    cli.checkConsumed();
     return 0;
 }

@@ -4,8 +4,9 @@
  *
  * Benches and examples parse "key=value" command-line overrides into a
  * Config; components read their parameters through typed getters with
- * defaults.  Unknown keys are rejected at the end of a run via
- * checkConsumed() so typos in sweeps do not silently do nothing.
+ * defaults.  Unknown keys are rejected via checkConsumed() once every
+ * run is resolved and before the first simulation (sim::runBatch), so
+ * a typo fails fast instead of silently doing nothing.
  *
  * The same table is the one grammar of every "key=value,..." spec
  * option list (policy, source and sample specs): fromOptionList()

@@ -91,12 +91,12 @@ Reporter::finish()
     ACCORD_ASSERT(!finished_, "Reporter::finish() called twice");
     finished_ = true;
 
+    cli_.checkConsumed();
+
     for (const ReportTable *table : tables_) {
         std::printf("\n-- %s --\n", table->name().c_str());
         table->print();
     }
-
-    cli_.checkConsumed();
 
     if (!json_path_.empty())
         report_.writeJsonFile(json_path_);

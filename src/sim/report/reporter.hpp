@@ -63,9 +63,9 @@ class Reporter
         __attribute__((format(printf, 2, 3)));
 
     /**
-     * Print every table (in creation order), verify all CLI keys were
-     * consumed, and write the JSON/CSV files if requested.  Returns 0
-     * so benches can `return reporter.finish();`.
+     * Verify all CLI keys were consumed, print every table (in
+     * creation order), and write the JSON/CSV files if requested.
+     * Returns 0 so benches can `return reporter.finish();`.
      */
     int finish();
 

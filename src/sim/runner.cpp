@@ -1,9 +1,6 @@
 #include "sim/runner.hpp"
 
-#include <utility>
-
 #include "common/log.hpp"
-#include "sim/sweep.hpp"
 #include "trace/sample.hpp"
 #include "trace/source.hpp"
 
@@ -128,20 +125,13 @@ canonicalConfigSpec(const SystemConfig &config)
 }
 
 SystemConfig
-baselineConfig(const std::string &workload)
+namedConfig(const std::string &workload,
+            const std::string &config_name)
 {
     SystemConfig config;
     config.workload = workload;
     config.ways = 1;
     config.policySpec.clear();
-    return config;
-}
-
-SystemConfig
-namedConfig(const std::string &workload,
-            const std::string &config_name)
-{
-    SystemConfig config = baselineConfig(workload);
     if (config_name == "dm")
         return config;
     if (config_name == "ca") {
@@ -187,37 +177,14 @@ namedConfig(const std::string &workload,
     return config;
 }
 
-const SystemMetrics &
-BaselineCache::get(const std::string &workload, const Config &cli)
+SystemConfig
+resolve(const std::string &workload, const std::string &name,
+        bool timed, const Config &cli)
 {
-    const auto it = cache.find(workload);
-    if (it != cache.end())
-        return it->second;
-    SystemConfig config = baselineConfig(workload);
+    SystemConfig config = namedConfig(workload, name);
+    config.runTimed = timed;
     applyCliOverrides(config, cli);
-    return cache.emplace(workload, runSystem(config)).first->second;
-}
-
-void
-BaselineCache::prefetch(const std::vector<std::string> &workloads,
-                        const Config &cli)
-{
-    std::vector<std::string> missing;
-    std::vector<SystemConfig> configs;
-    for (const std::string &workload : workloads) {
-        if (cache.count(workload))
-            continue;
-        SystemConfig config = baselineConfig(workload);
-        applyCliOverrides(config, cli);
-        missing.push_back(workload);
-        configs.push_back(std::move(config));
-    }
-    if (missing.empty())
-        return;
-    const SweepRunner runner(cli);
-    std::vector<SystemMetrics> metrics = runner.runConfigs(configs);
-    for (std::size_t i = 0; i < missing.size(); ++i)
-        cache.emplace(missing[i], std::move(metrics[i]));
+    return config;
 }
 
 } // namespace accord::sim

@@ -1,17 +1,16 @@
 /**
  * @file
- * Experiment-runner helpers shared by benches and examples: config
- * construction shorthands, CLI overrides, weighted speedup, and a
- * per-workload baseline cache so each bench simulates the
- * direct-mapped baseline once.
+ * Experiment-runner helpers shared by benches and examples: the
+ * paper's named configurations, CLI overrides, one resolve() that
+ * turns (workload, name, phase, CLI) into the SystemConfig a run
+ * uses, and weighted speedup.  Batches of resolved configs run
+ * through sim::runBatch (sim/sweep.hpp).
  */
 
 #ifndef ACCORD_SIM_RUNNER_HPP
 #define ACCORD_SIM_RUNNER_HPP
 
-#include <map>
 #include <string>
-#include <vector>
 
 #include "common/config.hpp"
 #include "sim/system.hpp"
@@ -53,9 +52,6 @@ void applyCliOverrides(SystemConfig &config, const Config &cli);
  */
 std::string canonicalConfigSpec(const SystemConfig &config);
 
-/** Direct-mapped baseline config for a workload. */
-SystemConfig baselineConfig(const std::string &workload);
-
 /**
  * Shorthand for the paper's named configurations:
  *   "dm"            direct-mapped baseline
@@ -74,26 +70,14 @@ SystemConfig namedConfig(const std::string &workload,
                          const std::string &config_name);
 
 /**
- * Memoizes the baseline run per workload so sweeps over many
- * configurations pay for the baseline only once.
+ * The SystemConfig one run uses: namedConfig(workload, name), timed
+ * or functional, with the CLI overrides applied.  Callers adjust
+ * fields the CLI never sets (policy options, layout, cache size)
+ * afterwards.
  */
-class BaselineCache
-{
-  public:
-    /** Baseline metrics for the workload under the given overrides. */
-    const SystemMetrics &get(const std::string &workload,
-                             const Config &cli);
-
-    /**
-     * Simulate all not-yet-cached workloads in parallel (jobs= from
-     * the CLI) so later get() calls are pure lookups.
-     */
-    void prefetch(const std::vector<std::string> &workloads,
-                  const Config &cli);
-
-  private:
-    std::map<std::string, SystemMetrics> cache;
-};
+SystemConfig resolve(const std::string &workload,
+                     const std::string &name, bool timed,
+                     const Config &cli);
 
 } // namespace accord::sim
 

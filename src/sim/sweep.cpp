@@ -3,7 +3,6 @@
 #include <exception>
 #include <future>
 #include <memory>
-#include <utility>
 
 #include "common/log.hpp"
 #include "common/telemetry/telemetry.hpp"
@@ -116,78 +115,12 @@ SweepRunner::runConfigs(const std::vector<SystemConfig> &configs) const
     return results;
 }
 
-SweepResult
-SweepRunner::runSpeedupSweep(std::vector<std::string> workloads,
-                             std::vector<std::string> configs,
-                             const Config &cli) const
+std::vector<SystemMetrics>
+runBatch(const std::vector<SystemConfig> &configs, const Config &cli)
 {
-    SweepResult result;
-    result.workloads = std::move(workloads);
-    result.configs = std::move(configs);
-    const std::size_t num_workloads = result.workloads.size();
-    const std::size_t num_configs = result.configs.size();
-
-    // Resolve every run's SystemConfig up front on this thread;
-    // baselines occupy [0, W), then configs workload-major.
-    std::vector<SystemConfig> runs;
-    runs.reserve(num_workloads * (1 + num_configs));
-    for (const std::string &workload : result.workloads) {
-        SystemConfig base = baselineConfig(workload);
-        applyCliOverrides(base, cli);
-        runs.push_back(std::move(base));
-    }
-    for (const std::string &workload : result.workloads) {
-        for (const std::string &name : result.configs) {
-            SystemConfig config = namedConfig(workload, name);
-            config.runTimed = true;
-            applyCliOverrides(config, cli);
-            runs.push_back(std::move(config));
-        }
-    }
-
-    std::vector<SystemMetrics> metrics = runConfigs(runs);
-
-    for (std::size_t w = 0; w < num_workloads; ++w)
-        result.baselines.push_back(std::move(metrics[w]));
-    for (std::size_t w = 0; w < num_workloads; ++w) {
-        for (std::size_t c = 0; c < num_configs; ++c) {
-            const std::string &name = result.configs[c];
-            SystemMetrics &m =
-                metrics[num_workloads + w * num_configs + c];
-            result.speedups[name].push_back(
-                weightedSpeedup(m, result.baselines[w]));
-            result.metrics[name].push_back(std::move(m));
-        }
-    }
-    return result;
-}
-
-std::map<std::string, std::vector<SystemMetrics>>
-SweepRunner::runFunctionalGrid(
-    const std::vector<std::string> &workloads,
-    const std::vector<std::string> &configs, const Config &cli) const
-{
-    std::vector<SystemConfig> runs;
-    runs.reserve(workloads.size() * configs.size());
-    for (const std::string &name : configs) {
-        for (const std::string &workload : workloads) {
-            SystemConfig config = namedConfig(workload, name);
-            config.runTimed = false;
-            applyCliOverrides(config, cli);
-            runs.push_back(std::move(config));
-        }
-    }
-
-    std::vector<SystemMetrics> metrics = runConfigs(runs);
-
-    std::map<std::string, std::vector<SystemMetrics>> grid;
-    std::size_t i = 0;
-    for (const std::string &name : configs) {
-        std::vector<SystemMetrics> &column = grid[name];
-        for (std::size_t w = 0; w < workloads.size(); ++w)
-            column.push_back(std::move(metrics[i++]));
-    }
-    return grid;
+    const SweepRunner runner(cli);
+    cli.checkConsumed();
+    return runner.runConfigs(configs);
 }
 
 } // namespace accord::sim

@@ -10,13 +10,13 @@
  * calling thread before any worker starts (the CLI Config tracks
  * consumed keys and is not thread-safe), and per-run warn()/inform()
  * output is captured and replayed in job order after the batch
- * completes.
+ * completes.  runBatch() is how benches and examples run a batch: it
+ * rejects a mistyped CLI key before the first simulation.
  */
 
 #ifndef ACCORD_SIM_SWEEP_HPP
 #define ACCORD_SIM_SWEEP_HPP
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -48,22 +48,6 @@ std::string perRunTracePath(const std::string &path, std::size_t index);
 std::string perRunTelemetryPath(const std::string &path,
                                 std::size_t index);
 
-/** Timed baseline+config sweep results in bench table layout. */
-struct SweepResult
-{
-    std::vector<std::string> workloads;
-    std::vector<std::string> configs;
-
-    /** Direct-mapped baseline metrics, indexed by workload. */
-    std::vector<SystemMetrics> baselines;
-
-    /** metrics[config][workload-index]. */
-    std::map<std::string, std::vector<SystemMetrics>> metrics;
-
-    /** speedups[config][workload-index] over the baseline. */
-    std::map<std::string, std::vector<double>> speedups;
-};
-
 /**
  * Schedules batches of independent simulations over a ThreadPool.
  * jobs=1 reproduces the historical serial execution order exactly.
@@ -87,28 +71,18 @@ class SweepRunner
     std::vector<SystemMetrics>
     runConfigs(const std::vector<SystemConfig> &configs) const;
 
-    /**
-     * The bench sweep: for each workload run the direct-mapped
-     * baseline plus every named configuration (timed), baselines
-     * scheduled first, and compute weighted speedups.
-     */
-    SweepResult
-    runSpeedupSweep(std::vector<std::string> workloads,
-                    std::vector<std::string> configs,
-                    const Config &cli) const;
-
-    /**
-     * Functional (untimed) grid over workloads x named configs;
-     * returns metrics[config][workload-index].
-     */
-    std::map<std::string, std::vector<SystemMetrics>>
-    runFunctionalGrid(const std::vector<std::string> &workloads,
-                      const std::vector<std::string> &configs,
-                      const Config &cli) const;
-
   private:
     unsigned jobs_;
 };
+
+/**
+ * Check, then run: reject any CLI key nothing has read
+ * (Config::checkConsumed), then run every config on a SweepRunner
+ * sized by jobs= and return metrics in input order.  Resolve every
+ * config before calling, so a typo fails before the first simulation.
+ */
+std::vector<SystemMetrics>
+runBatch(const std::vector<SystemConfig> &configs, const Config &cli);
 
 } // namespace accord::sim
 

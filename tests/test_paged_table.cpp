@@ -175,24 +175,12 @@ recordFig12Smoke(const std::string &backend)
     cli.parseArg("measure=500");
     cli.parseArg("state_backend=" + backend);
 
-    const std::vector<std::string> workloads = {"libq", "mcf"};
-    const std::vector<std::string> configs = {"2way-pws+gws"};
-    const bench::SpeedupSweep sweep(workloads, configs, cli);
+    const bench::SpeedupSweep sweep({"libq", "mcf"}, {"2way-pws+gws"},
+                                    cli);
 
     report::RunReport report("backend replay",
                              "dense/paged byte-identity test");
-    for (std::size_t w = 0; w < workloads.size(); ++w) {
-        sim::SystemConfig base = sim::baselineConfig(workloads[w]);
-        sim::applyCliOverrides(base, cli);
-        bench::recordRun(report, workloads[w] + "/dm", base,
-                         sweep.baseline(w));
-        for (const std::string &name : configs) {
-            bench::recordRun(
-                report, workloads[w] + "/" + name,
-                bench::timedConfig(workloads[w], name, cli),
-                sweep.metrics(name, w));
-        }
-    }
+    sweep.record(report);
 
     // Two surfaces may legitimately differ between the backends, and
     // compare_reports.py ignores both: the forced state_backend spec

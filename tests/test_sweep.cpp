@@ -90,17 +90,15 @@ TEST(SweepDeterminism, SpeedupsIdenticalForOneAndEightJobs)
 // deterministic against the serial path.
 TEST(SweepDeterminism, FourJobsMatchSerialFunctionalGrid)
 {
-    const auto serial = sim::SweepRunner(fastCli(1)).runFunctionalGrid(
-        kWorkloads, kConfigs, fastCli(1));
-    const auto wide = sim::SweepRunner(fastCli(4)).runFunctionalGrid(
-        kWorkloads, kConfigs, fastCli(4));
+    const bench::FunctionalSweep serial(kWorkloads, kConfigs, fastCli(1));
+    const bench::FunctionalSweep wide(kWorkloads, kConfigs, fastCli(4));
 
     for (const std::string &config : kConfigs) {
         for (std::size_t w = 0; w < kWorkloads.size(); ++w) {
-            EXPECT_EQ(serial.at(config).at(w).hitRate,
-                      wide.at(config).at(w).hitRate);
-            EXPECT_EQ(serial.at(config).at(w).wpAccuracy,
-                      wide.at(config).at(w).wpAccuracy);
+            EXPECT_EQ(serial.metrics(config, w).hitRate,
+                      wide.metrics(config, w).hitRate);
+            EXPECT_EQ(serial.metrics(config, w).wpAccuracy,
+                      wide.metrics(config, w).wpAccuracy);
         }
     }
 }
@@ -113,39 +111,14 @@ TEST(SweepDeterminism, FourJobsMatchSerialFunctionalGrid)
 TEST(SweepDeterminism, ReportBytesIdenticalForOneAndThreeJobs)
 {
     const auto record = [](unsigned jobs) {
-        const Config cli = fastCli(jobs);
-        const bench::SpeedupSweep sweep(kWorkloads, kConfigs, cli);
+        const bench::SpeedupSweep sweep(kWorkloads, kConfigs,
+                                        fastCli(jobs));
         report::RunReport report("jobs replay", "byte-identity test");
-        for (std::size_t w = 0; w < kWorkloads.size(); ++w) {
-            sim::SystemConfig base = sim::baselineConfig(kWorkloads[w]);
-            sim::applyCliOverrides(base, cli);
-            bench::recordRun(report, kWorkloads[w] + "/dm", base,
-                             sweep.baseline(w));
-            for (const std::string &name : kConfigs) {
-                bench::recordRun(report, kWorkloads[w] + "/" + name,
-                                 bench::timedConfig(kWorkloads[w],
-                                                    name, cli),
-                                 sweep.metrics(name, w));
-            }
-        }
+        sweep.record(report);
         return report.toJson();
     };
 
     EXPECT_EQ(record(1), record(3));
-}
-
-TEST(SweepRunner, BaselinePrefetchMatchesSerialGet)
-{
-    const Config serial_cli = fastCli(1);
-    sim::BaselineCache serial;
-    const double serial_hit =
-        serial.get("libq", serial_cli).hitRate;
-
-    const Config parallel_cli = fastCli(4);
-    sim::BaselineCache prefetched;
-    prefetched.prefetch(kWorkloads, parallel_cli);
-    EXPECT_EQ(prefetched.get("libq", parallel_cli).hitRate,
-              serial_hit);
 }
 
 TEST(LogCapture, BuffersAndReplays)

@@ -207,19 +207,6 @@ TEST(Reporter, ParamsNameTheBenchDefaultScale)
               std::string::npos);
 }
 
-TEST(Runner, BaselineCacheMemoizes)
-{
-    Config cli;
-    cli.parseArg("scale=1024");
-    cli.parseArg("cores=2");
-    cli.parseArg("warm=5000");
-    cli.parseArg("timed=300");
-    BaselineCache cache;
-    const auto &a = cache.get("libq", cli);
-    const auto &b = cache.get("libq", cli);
-    EXPECT_EQ(&a, &b);      // same object: simulated once
-}
-
 TEST(System, SpeedupOfAccordOverDmIsSane)
 {
     SystemConfig dm = fastConfig("libq");

@@ -7,9 +7,10 @@ report with a committed baseline (compare_reports.py's rules) or byte
 for byte with an earlier report of its suite; a row without a
 comparison only feeds a later check.  Suites:
 
-* ``refactor`` (25): the sweep baselines in tests/baselines/refactor_equiv/
+* ``refactor`` (37): the sweep baselines in tests/baselines/refactor_equiv/
   at jobs=1 and 3, state backend auto, dense or paged, at rtol 0 (a
-  forced leg drops its ``state_backend=`` spec token first), plus
+  forced leg drops its ``state_backend=`` spec token first); six benches
+  whose reports hold only tables, at jobs=1 and 3 and rtol 0; plus
   bench_tab01_lookup_costs once.
 * ``stability`` (3): bench_tab06_hitrate at jobs=1, 3 and 1 writes
   byte-identical reports, the first within rtol 1e-4 of its baseline.
@@ -144,6 +145,16 @@ def refactor_checks():
                     args + (f"state_backend={backend}",),
                     f"{name}.j{jobs}.{backend}.json", baseline,
                     ignore=frozenset({"state_backend"})))
+    # Table-only reports (about 1 KB each): no run records, so the
+    # tables alone pin every result these benches print.
+    for name in ("bench_fig15_energy", "bench_tab02_conventional_wp",
+                 "bench_tab05_pws_pip", "bench_tab07_sws_hitrate",
+                 "bench_tab08_cache_size", "bench_tab10_wp_comparison"):
+        baseline = BASELINES / "refactor_equiv" / f"{name}.json"
+        for jobs in (1, 3):
+            checks.append(Check(f"{name} jobs={jobs}", name,
+                                SMOKE + ("timed=1500", f"jobs={jobs}"),
+                                f"{name}.j{jobs}.json", baseline))
     # Analytic table: no sweep, and it rejects cores=/jobs=.
     name = "bench_tab01_lookup_costs"
     checks.append(Check(name, name, ("scale=4096",), f"{name}.json",
