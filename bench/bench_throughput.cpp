@@ -17,11 +17,12 @@
  *           (telemetry-enabled cost; "timed" is the telemetry-off
  *           control, so timed/telem bounds the recorder overhead —
  *           the telemetry_overhead_frac run value records the ratio)
- *   paged   timed run with the storage backend forced paged
- *           (state_backend=paged at bench scale, where auto picks
- *           dense — so timed/paged bounds the paged read path's
- *           indirection cost; the paged_overhead_frac run value
- *           records the ratio)
+ *   paged   timed run with every per-set table forced paged
+ *           (SystemConfig::stateBackend; at bench scale the tables
+ *           are below the size threshold and run dense otherwise —
+ *           so timed/paged bounds the paged read path's indirection
+ *           cost; the paged_overhead_frac run value records the
+ *           ratio)
  *
  * Each mode runs `reps=` times (default 3) and the report records the
  * best rep, so transient host noise cannot fake a regression.  The
@@ -180,9 +181,8 @@ main(int argc, char **argv)
         }
         configs.push_back(std::move(config));
     }
-    // Every key is read: reject a typo before recording the trace.
+    // Every key is read: reject a typo before the first run.
     rep.cli().checkConsumed();
-    recordReplayTrace(trace_path, workload, trace_records, scale);
 
     report::ReportTable &table = rep.table(
         "throughput",
@@ -196,6 +196,10 @@ main(int argc, char **argv)
     for (std::size_t m = 0; m < std::size(kModes); ++m) {
         const Mode &mode = kModes[m];
         const sim::SystemConfig &config = configs[m];
+        // The trace exists only while its mode runs, so a run that
+        // fatals in an earlier mode leaves nothing behind.
+        if (mode.replay)
+            recordReplayTrace(trace_path, workload, trace_records, scale);
         Rep best;
         for (unsigned r = 0; r < reps; ++r) {
             const Rep sample = timeOne(config);
@@ -210,6 +214,8 @@ main(int argc, char **argv)
             if (sample.readsPerSec() > best.readsPerSec())
                 best = sample;
         }
+        if (mode.replay)
+            std::remove(trace_path.c_str());
         table.row()
             .cell(std::string(mode.name) + " best")
             .cell(static_cast<std::uint64_t>(reps))
@@ -262,7 +268,6 @@ main(int argc, char **argv)
             1.0 - paged_best_rps / timed_best_rps);
     }
 
-    std::remove(trace_path.c_str());
     rep.note("best-of-%u reps per mode; regression gate: "
              "tools/check_perf_regression.py", reps);
     return rep.finish();

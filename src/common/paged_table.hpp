@@ -15,9 +15,12 @@
  *
  * Both modes expose identical semantics — a slot reads as the fill
  * value until written — so simulation results are byte-identical
- * across backends (enforced by tools/check_equivalence.py --suite
- * refactor at rtol 0).  Resident-page/byte accounting feeds the
- * footprint gauges in SystemMetrics and telemetry heartbeats.
+ * across them (StorageEquivalence in tests/test_paged_table.cpp runs
+ * the fig01, fig07, fig12 and ablation configurations both ways).
+ * Table size picks the mode (autoStorageMode);
+ * SystemConfig::stateBackend forces one for tests and
+ * bench_throughput's paged mode.  Resident-page/byte accounting feeds
+ * the footprint gauges in SystemMetrics and telemetry heartbeats.
  *
  * Purity contract: read() is the ACCORD_HOT unchecked fast path and
  * never allocates.  materializeSlot()/ensurePage() are the only

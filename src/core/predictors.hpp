@@ -25,8 +25,8 @@ namespace accord::core
 
 /**
  * Storage mode for a predictor table: an explicit mode forces it
- * (the `state_backend=` knob), nullopt resolves per table by size
- * (autoStorageMode), keeping bench-scale tables dense.
+ * (SystemConfig::stateBackend off Auto), nullopt resolves per table
+ * by size (autoStorageMode), keeping bench-scale tables dense.
  */
 using TableStorage = std::optional<StorageMode>;
 

@@ -51,29 +51,6 @@ toToken(LayoutMode layout)
     fatal("unknown LayoutMode %d", static_cast<int>(layout));
 }
 
-const char *
-toToken(StateBackend backend)
-{
-    switch (backend) {
-      case StateBackend::Dense: return "dense";
-      case StateBackend::Paged: return "paged";
-      case StateBackend::Auto: return "auto";
-    }
-    fatal("unknown StateBackend %d", static_cast<int>(backend));
-}
-
-StateBackend
-stateBackendFromToken(const std::string &token)
-{
-    for (const auto backend :
-         {StateBackend::Dense, StateBackend::Paged,
-          StateBackend::Auto}) {
-        if (token == toToken(backend))
-            return backend;
-    }
-    fatal("unknown state backend '%s'", token.c_str());
-}
-
 StorageMode
 resolveStorageMode(StateBackend backend, std::uint64_t slots)
 {

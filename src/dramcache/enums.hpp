@@ -13,7 +13,6 @@
 #define ACCORD_DRAMCACHE_ENUMS_HPP
 
 #include <cstdint>
-#include <string>
 
 #include "dramcache/layout.hpp"
 
@@ -57,9 +56,12 @@ enum class L4Replacement
 
 /**
  * Backend for per-set cache state (tag store, predictor tables, LRU
- * stamps) — see common/paged_table.hpp.  Auto resolves by geometry:
- * dense below the paged-storage threshold, paged above it, so 1/128
- * bench runs stay dense while full-gigascale runs page lazily.
+ * stamps) — see common/paged_table.hpp.  Auto, what every bench and
+ * example runs, resolves by geometry: dense below the paged-storage
+ * threshold, paged above it, so 1/128 bench runs stay dense while
+ * full-gigascale runs page lazily.  Dense and Paged force one mode
+ * for every table; only code sets them (tests, bench_throughput's
+ * paged mode), never a CLI key.
  */
 enum class StateBackend
 {
@@ -79,12 +81,6 @@ const char *toToken(L4Replacement repl);
 
 /** Canonical token ("row_co_located", "way_striped"). */
 const char *toToken(LayoutMode layout);
-
-/** Canonical token ("dense", "paged", "auto"). */
-const char *toToken(StateBackend backend);
-
-/** Inverse of toToken(StateBackend); fatal() on an unknown token. */
-StateBackend stateBackendFromToken(const std::string &token);
 
 /** Concrete storage mode for a table of `slots` under `backend`. */
 StorageMode resolveStorageMode(StateBackend backend,

@@ -14,10 +14,11 @@
  * always does once the cache has 4 sets, and install() rejects a wider
  * one (a column-associative line address at or above 2^62).
  *
- * The words live in one PagedColumn behind the StateBackend knob:
- * dense for bench-scale runs, lazily-paged for gigascale ones.  A
- * never-written slot reads 0 (invalid) in both backends, exactly like
- * an invalidated one, so results are byte-identical across them.
+ * The words live in one PagedColumn whose mode the table size picks:
+ * dense for bench-scale runs, lazily-paged for gigascale ones, unless
+ * a StateBackend forces one.  A never-written slot reads 0 (invalid)
+ * in both modes, exactly like an invalidated one, so results are
+ * byte-identical across them.
  */
 
 #ifndef ACCORD_DRAMCACHE_TAG_STORE_HPP
@@ -86,7 +87,7 @@ class TagStore
 
     const core::CacheGeometry &geometry() const { return geom; }
 
-    /** Storage mode the backend knob resolved to. */
+    /** Storage mode the backend resolved to. */
     StorageMode storageMode() const { return words.mode(); }
 
     /** Host bytes currently backing the slot words. */

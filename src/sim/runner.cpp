@@ -50,9 +50,6 @@ applyCliOverrides(SystemConfig &config, const Config &cli)
     config.traceCap = cli.getUint("trace_cap", config.traceCap);
     config.trafficSpec = cli.getString("source", config.trafficSpec);
     config.sampleSpec = cli.getString("sample", config.sampleSpec);
-    config.stateBackend = dramcache::stateBackendFromToken(
-        cli.getString("state_backend",
-                      dramcache::toToken(config.stateBackend)));
     // Telemetry is pure observability: like jobs= and trace= it never
     // changes simulation results, so canonicalConfigSpec excludes it
     // and reports stay byte-identical with it on or off.
@@ -110,16 +107,6 @@ canonicalConfigSpec(const SystemConfig &config)
                    ? std::string("off")
                    : trace::SampleParams::fromString(config.sampleSpec)
                          .toString());
-    }
-
-    // Appended only when forced off Auto so reports produced before
-    // the storage layer stay byte-identical.  The backend never
-    // changes results (tools/check_equivalence.py proves dense and
-    // paged runs identical at rtol 0), but a forced backend is still
-    // part of the run's identity for footprint comparisons.
-    if (config.stateBackend != dramcache::StateBackend::Auto) {
-        spec += std::string(" state_backend=")
-            + dramcache::toToken(config.stateBackend);
     }
     return spec;
 }

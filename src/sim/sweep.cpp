@@ -1,12 +1,13 @@
 #include "sim/sweep.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <exception>
-#include <future>
 #include <memory>
+#include <thread>
 
 #include "common/log.hpp"
 #include "common/telemetry/telemetry.hpp"
-#include "sim/pool.hpp"
 #include "sim/runner.hpp"
 
 namespace accord::sim
@@ -15,14 +16,44 @@ namespace accord::sim
 unsigned
 resolveJobs(unsigned jobs)
 {
-    return jobs == 0 ? ThreadPool::defaultJobs() : jobs;
+    if (jobs != 0)
+        return jobs;
+    return std::max(1u, std::thread::hardware_concurrency());
 }
 
-SweepRunner::SweepRunner(unsigned jobs) : jobs_(resolveJobs(jobs)) {}
-
-SweepRunner::SweepRunner(const Config &cli)
-    : jobs_(resolveJobs(cli.getUint32("jobs", 0)))
+void
+parallelFor(std::size_t n, unsigned jobs,
+            const std::function<void(std::size_t)> &body)
 {
+    // Each index writes only its own error slot, so the lowest-index
+    // rule needs no lock.
+    std::vector<std::exception_ptr> errors(n);
+    std::atomic<std::size_t> next{0};
+    const auto work = [&] {
+        for (std::size_t i = next++; i < n; i = next++) {
+            try {
+                body(i);
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
+        }
+    };
+    const std::size_t threads =
+        std::min<std::size_t>(resolveJobs(jobs), n);
+    if (threads <= 1) {
+        work();
+    } else {
+        std::vector<std::thread> workers;
+        workers.reserve(threads);
+        for (std::size_t t = 0; t < threads; ++t)
+            workers.emplace_back(work);
+        for (std::thread &worker : workers)
+            worker.join();
+    }
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
+    }
 }
 
 std::string
@@ -51,14 +82,15 @@ perRunTelemetryPath(const std::string &path, std::size_t index)
 }
 
 std::vector<SystemMetrics>
-SweepRunner::runConfigs(const std::vector<SystemConfig> &configs) const
+runConfigs(const std::vector<SystemConfig> &configs, unsigned jobs,
+           std::size_t first_run)
 {
-    // Workers write disjoint slots; the pool (declared last) joins
-    // before the result vectors go away even on exception paths.
+    // Workers write disjoint slots.
     std::vector<SystemMetrics> results(configs.size());
     std::vector<std::string> logs(configs.size());
-    std::vector<std::future<void>> futures;
-    futures.reserve(configs.size());
+    // One trace= or telemetry= path applied to several runs would
+    // have every run clobber the same file; write one per run.
+    const bool per_run_paths = configs.size() > 1 || first_run > 0;
 
     // Telemetry-enabled batches get a live done/in-flight/ETA line on
     // stderr (display only — results and streams are unaffected).
@@ -70,57 +102,47 @@ SweepRunner::runConfigs(const std::vector<SystemConfig> &configs) const
         progress =
             std::make_unique<telemetry::SweepProgress>(configs.size());
 
-    ThreadPool pool(jobs_);
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        futures.push_back(pool.submit([&, i] {
+    std::exception_ptr error;
+    try {
+        parallelFor(configs.size(), jobs, [&](std::size_t i) {
             ScopedLogCapture capture;
             SystemConfig config = configs[i];
-            // One trace= applied to a whole batch would have every run
-            // clobber the same file; write one trace per run instead.
-            if (!config.tracePath.empty() && configs.size() > 1)
+            if (per_run_paths && !config.tracePath.empty())
                 config.tracePath =
-                    perRunTracePath(config.tracePath, i);
-            // Same for telemetry streams: one flight-recorder file
-            // per run, named by batch position.
-            if (!config.telemetryPath.empty() && configs.size() > 1)
-                config.telemetryPath =
-                    perRunTelemetryPath(config.telemetryPath, i);
+                    perRunTracePath(config.tracePath, first_run + i);
+            if (per_run_paths && !config.telemetryPath.empty())
+                config.telemetryPath = perRunTelemetryPath(
+                    config.telemetryPath, first_run + i);
             if (progress)
                 progress->onRunStart();
             results[i] = runSystem(config);
             if (progress)
                 progress->onRunFinish();
             logs[i] = capture.take();
-        }));
-    }
-
-    // Wait for every run, remember the first failure by input index,
-    // then replay captured log output in deterministic job order.
-    std::exception_ptr first_error;
-    for (std::future<void> &future : futures) {
-        try {
-            future.get();
-        } catch (...) {
-            if (!first_error)
-                first_error = std::current_exception();
-        }
+        });
+    } catch (...) {
+        error = std::current_exception();
     }
     // Terminate the progress line before replaying captured logs so
     // buffered warn()/inform() output starts on a fresh line.
     progress.reset();
     for (const std::string &text : logs)
         emitCapturedLog(text);
-    if (first_error)
-        std::rethrow_exception(first_error);
+    if (error)
+        std::rethrow_exception(error);
     return results;
 }
 
 std::vector<SystemMetrics>
 runBatch(const std::vector<SystemConfig> &configs, const Config &cli)
 {
-    const SweepRunner runner(cli);
+    // Benches run their batches one after another on the main thread.
+    static std::size_t runs_before = 0;
+    const unsigned jobs = cli.getUint32("jobs", 0);
     cli.checkConsumed();
-    return runner.runConfigs(configs);
+    const std::size_t first_run = runs_before;
+    runs_before += configs.size();
+    return runConfigs(configs, jobs, first_run);
 }
 
 } // namespace accord::sim

@@ -57,10 +57,10 @@ struct SystemConfig
 
     /**
      * Backend for per-set cache state (tag store, predictor tables,
-     * LRU stamps): dense vectors, lazily-materialized pages, or
-     * auto (per table by size).  Never changes simulation results —
-     * only host memory footprint — so the canonical spec carries it
-     * only when forced off Auto.
+     * LRU stamps): auto (per table by size; no CLI key changes it),
+     * or dense vectors or lazily-materialized pages forced for every
+     * table.  Never changes simulation results — only host memory
+     * footprint — so the canonical spec leaves it out.
      */
     dramcache::StateBackend stateBackend =
         dramcache::StateBackend::Auto;

@@ -242,6 +242,15 @@ BinTraceReader::refill()
                              static_cast<unsigned>(room));
         if (n < 0)
             fatal("read error on trace '%s'", path_.c_str());
+        if (n == 0) {
+            // zlib ends a gzip stream cut short like a whole one and
+            // leaves only Z_BUF_ERROR behind to tell them apart.
+            int status = Z_OK;
+            gzerror(static_cast<gzFile>(gz_), &status);
+            if (status == Z_BUF_ERROR)
+                fatal("truncated trace '%s' (gzip stream ends early)",
+                      path_.c_str());
+        }
         const std::size_t got = static_cast<std::size_t>(n);
 #else
         const std::size_t got = std::fread(dst, 1, room, file_);

@@ -3,21 +3,22 @@
  * Unit tests for the paged struct-of-arrays storage layer
  * (common/paged_table.hpp): page materialization and teardown,
  * dense/paged read identity, resident-byte accounting, and the
- * end-to-end dense-vs-paged byte-identity replay of the fig12 smoke
- * sweep.
+ * end-to-end check that every bench configuration ends a run with the
+ * same metrics whether its per-set state is dense or paged.
  */
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "bench_common.hpp"
 #include "common/config.hpp"
 #include "common/paged_table.hpp"
 #include "common/rng.hpp"
 #include "sim/runner.hpp"
+#include "sim/sweep.hpp"
 
 using namespace accord;
 
@@ -163,59 +164,84 @@ TEST(PagedColumnDeath, CheckedBuildsRejectOutOfRangeFastPath)
 namespace
 {
 
-/** Fig12 smoke sweep recorded with a forced storage backend. */
-std::string
-recordFig12Smoke(const std::string &backend)
+/**
+ * Every configuration the fig01, fig07, fig12 and ablation benches
+ * run ("/nodcp" marks abl's variant without DCP way bits), plus the
+ * MRU and partial-tag predictors and the column-associative layout.
+ */
+const std::vector<std::string> kStorageConfigs = {
+    "dm", "2way-rand", "4way-rand", "8way-rand", "2way-parallel",
+    "4way-parallel", "8way-parallel", "2way-ideal", "4way-ideal",
+    "8way-ideal", "2way-pws", "2way-gws", "2way-pws+gws",
+    "8way-sws+gws", "2way-serial", "2way-lru", "2way-pws+gws/nodcp",
+    "2way-mru", "2way-ptag", "ca",
+};
+
+/** Every kStorageConfigs run on libq and mcf, functional and timed. */
+std::vector<sim::SystemConfig>
+storageRuns(dramcache::StateBackend backend)
 {
     Config cli;
     cli.parseArg("scale=4096");
     cli.parseArg("cores=2");
-    cli.parseArg("warm=3000");
-    cli.parseArg("timed=200");
-    cli.parseArg("measure=500");
-    cli.parseArg("state_backend=" + backend);
-
-    const bench::SpeedupSweep sweep({"libq", "mcf"}, {"2way-pws+gws"},
-                                    cli);
-
-    report::RunReport report("backend replay",
-                             "dense/paged byte-identity test");
-    sweep.record(report);
-
-    // Two surfaces may legitimately differ between the backends, and
-    // compare_reports.py ignores both: the forced state_backend spec
-    // token (--ignore-spec-key) and the per-run "host" objects (the
-    // volatile partition, which carries resident_state_bytes — a
-    // footprint gauge that is *supposed* to shrink under paging).
-    // Strip them; everything left must match byte for byte.
-    std::string json = report.toJson();
-    const std::string token = " state_backend=" + backend;
-    for (std::size_t pos = json.find(token);
-         pos != std::string::npos; pos = json.find(token, pos))
-        json.erase(pos, token.size());
-    const std::string host = "\"host\": {";
-    for (std::size_t pos = json.find(host);
-         pos != std::string::npos; pos = json.find(host, pos)) {
-        const std::size_t close = json.find('}', pos);
-        // Swallow the preceding ",\n      " separator too.
-        const std::size_t comma = json.rfind(',', pos);
-        if (close == std::string::npos || comma == std::string::npos) {
-            ADD_FAILURE() << "malformed host object in report JSON";
-            break;
+    cli.parseArg("warm=2000");
+    cli.parseArg("timed=1500");
+    cli.parseArg("measure=4000");
+    std::vector<sim::SystemConfig> runs;
+    for (const char *workload : {"libq", "mcf"}) {
+        for (const bool timed : {false, true}) {
+            for (const std::string &name : kStorageConfigs) {
+                const std::size_t slash = name.find('/');
+                sim::SystemConfig config = sim::resolve(
+                    workload, name.substr(0, slash), timed, cli);
+                if (slash != std::string::npos)
+                    config.dcpWayBits = false;
+                config.stateBackend = backend;
+                runs.push_back(config);
+            }
         }
-        json.erase(comma, close + 1 - comma);
     }
-    return json;
+    return runs;
+}
+
+/** Bit-for-bit equality, so NaN cells compare equal too. */
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a)
+        == std::bit_cast<std::uint64_t>(b);
 }
 
 } // namespace
 
-// The storage-layer replay of the refactor-equivalence guarantee: the
-// fig12 smoke sweep must serialize to byte-identical run reports with
-// the backend forced dense and forced paged — every metric of every
-// run, not just headline speedups.  This is the in-process twin of
-// the state_backend legs of tools/check_equivalence.py.
-TEST(StorageEquivalence, Fig12SmokeReportBytesIdenticalDenseVsPaged)
+// The storage layer never changes results: each run, with every
+// per-set table forced dense and then forced paged, must end with the
+// same metric snapshot, per-core IPC and event count.
+TEST(StorageEquivalence, DenseAndPagedRunsAgree)
 {
-    EXPECT_EQ(recordFig12Smoke("dense"), recordFig12Smoke("paged"));
+    const std::vector<sim::SystemConfig> dense =
+        storageRuns(dramcache::StateBackend::Dense);
+    const std::vector<sim::SystemConfig> paged =
+        storageRuns(dramcache::StateBackend::Paged);
+    const std::vector<sim::SystemMetrics> want = sim::runConfigs(dense, 0);
+    const std::vector<sim::SystemMetrics> got = sim::runConfigs(paged, 0);
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE(sim::canonicalConfigSpec(dense[i]));
+        const auto &a = want[i].finalMetrics.values();
+        const auto &b = got[i].finalMetrics.values();
+        ASSERT_EQ(a.size(), b.size());
+        EXPECT_FALSE(a.empty());
+        for (std::size_t m = 0; m < a.size(); ++m) {
+            EXPECT_EQ(a[m].first, b[m].first);
+            EXPECT_TRUE(sameBits(a[m].second, b[m].second))
+                << a[m].first << ": " << a[m].second << " dense, "
+                << b[m].second << " paged";
+        }
+        ASSERT_EQ(want[i].coreIpc.size(), got[i].coreIpc.size());
+        for (std::size_t c = 0; c < want[i].coreIpc.size(); ++c)
+            EXPECT_TRUE(sameBits(want[i].coreIpc[c], got[i].coreIpc[c]))
+                << "core " << c;
+        EXPECT_EQ(want[i].eventsExecuted, got[i].eventsExecuted);
+    }
 }

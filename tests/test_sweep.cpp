@@ -1,12 +1,20 @@
 /**
  * @file
- * Determinism and plumbing tests for the parallel sweep runner: the
- * same sweep must produce bit-identical results for any job count,
- * because every run seeds its RNGs from (seed, workload, config)
- * rather than from scheduling order.
+ * Determinism and plumbing tests for the parallel sweep: parallelFor
+ * runs every index once and rethrows deterministically, and the same
+ * sweep must produce bit-identical results for any job count, because
+ * every run seeds its RNGs from (seed, workload, config) rather than
+ * from scheduling order.
  */
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -42,22 +50,85 @@ const std::vector<std::string> kConfigs = {"2way-pws+gws",
 
 } // namespace
 
-TEST(SweepRunner, ResolveJobs)
+TEST(ParallelFor, RunsEveryIndexOnce)
 {
+    for (const unsigned jobs : {0u, 1u, 4u, 64u}) {
+        std::vector<std::atomic<int>> runs(100);
+        sim::parallelFor(runs.size(), jobs,
+                         [&runs](std::size_t i) { ++runs[i]; });
+        for (std::size_t i = 0; i < runs.size(); ++i)
+            EXPECT_EQ(runs[i].load(), 1) << "index " << i << " jobs "
+                                         << jobs;
+    }
+}
+
+TEST(ParallelFor, OneJobRunsInIndexOrder)
+{
+    std::vector<std::size_t> order;
+    sim::parallelFor(50, 1, [&order](std::size_t i) {
+        order.push_back(i);
+    });
+    ASSERT_EQ(order.size(), 50u);
+    for (std::size_t i = 0; i < order.size(); ++i)
+        EXPECT_EQ(order[i], i);
+}
+
+TEST(ParallelFor, RethrowsLowestIndexAfterEveryIndexRan)
+{
+    for (const unsigned jobs : {1u, 4u}) {
+        std::atomic<int> ran{0};
+        try {
+            sim::parallelFor(32, jobs, [&ran](std::size_t i) {
+                ++ran;
+                if (i == 9 || i == 20)
+                    throw std::runtime_error(std::to_string(i));
+            });
+            ADD_FAILURE() << "nothing rethrown at jobs " << jobs;
+        } catch (const std::runtime_error &error) {
+            EXPECT_STREQ(error.what(), "9") << "jobs " << jobs;
+        }
+        EXPECT_EQ(ran.load(), 32) << "jobs " << jobs;
+    }
+}
+
+TEST(ParallelFor, ZeroJobsResolvesToHardwareThreads)
+{
+    const unsigned hardware =
+        std::max(1u, std::thread::hardware_concurrency());
+    EXPECT_EQ(sim::resolveJobs(0), hardware);
     EXPECT_EQ(sim::resolveJobs(1), 1u);
     EXPECT_EQ(sim::resolveJobs(8), 8u);
-    EXPECT_GE(sim::resolveJobs(0), 1u);
+
+    // The first `hardware` indices wait for one another, which takes
+    // `hardware` threads; no more than that many bodies ever overlap.
+    std::atomic<unsigned> live{0};
+    std::atomic<unsigned> peak{0};
+    std::mutex mutex;
+    std::condition_variable all_in;
+    unsigned arrived = 0;
+    bool met = true;
+    sim::parallelFor(2 * std::size_t{hardware}, 0, [&](std::size_t) {
+        const unsigned now = ++live;
+        for (unsigned seen = peak;
+             now > seen && !peak.compare_exchange_weak(seen, now);) {
+        }
+        {
+            std::unique_lock<std::mutex> lock(mutex);
+            if (++arrived == hardware)
+                all_in.notify_all();
+            // After one timeout the rest need not wait.
+            if (met && !all_in.wait_for(lock, std::chrono::seconds(30), [&] {
+                    return arrived >= hardware;
+                }))
+                met = false;
+        }
+        --live;
+    });
+    EXPECT_TRUE(met) << "fewer than " << hardware << " threads ran";
+    EXPECT_LE(peak.load(), hardware);
 }
 
-TEST(SweepRunner, ReadsJobsOverrideFromCli)
-{
-    const sim::SweepRunner serial(fastCli(1));
-    EXPECT_EQ(serial.jobs(), 1u);
-    const sim::SweepRunner wide(fastCli(8));
-    EXPECT_EQ(wide.jobs(), 8u);
-}
-
-TEST(SweepRunner, JobsOverrideReachesSystemConfig)
+TEST(Sweep, JobsOverrideReachesSystemConfig)
 {
     sim::SystemConfig config;
     sim::applyCliOverrides(config, fastCli(4));

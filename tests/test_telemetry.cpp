@@ -328,13 +328,13 @@ TEST(SystemTelemetry, CanonicalStreamByteIdenticalAcrossJobCounts)
     configs.push_back(telemetryConfig(path));
     configs.back().seed = 7;
 
-    sim::SweepRunner(1).runConfigs(configs);
+    sim::runConfigs(configs, 1);
     std::vector<std::vector<std::string>> serial;
     for (std::size_t i = 0; i < configs.size(); ++i)
         serial.push_back(canonicalStream(
             sim::perRunTelemetryPath(path, i)));
 
-    sim::SweepRunner(3).runConfigs(configs);
+    sim::runConfigs(configs, 3);
     for (std::size_t i = 0; i < configs.size(); ++i) {
         const std::string run = sim::perRunTelemetryPath(path, i);
         EXPECT_EQ(serial[i], canonicalStream(run))

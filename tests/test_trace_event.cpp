@@ -381,9 +381,9 @@ TEST(SystemTrace, ByteIdenticalAcrossJobCounts)
     configs.back().seed = 7;
 
     const std::vector<sim::SystemMetrics> serial =
-        sim::SweepRunner(1).runConfigs(configs);
+        sim::runConfigs(configs, 1);
     const std::vector<sim::SystemMetrics> parallel =
-        sim::SweepRunner(3).runConfigs(configs);
+        sim::runConfigs(configs, 3);
 
     ASSERT_EQ(serial.size(), 2u);
     ASSERT_EQ(parallel.size(), 2u);

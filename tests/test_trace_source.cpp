@@ -643,6 +643,36 @@ TEST(BinTraceDeath, HostileInputFatalsThroughEveryReadPath)
     std::remove(base.c_str());
 }
 
+TEST(BinTraceDeath, TruncatedGzipFatalsThroughEveryReadPath)
+{
+    // The gzip header's record count stays 0, so only zlib can tell a
+    // cut stream from a whole one.  Cuts 1 and 8 lose part or all of
+    // the gzip trailer and 258 and 12286 end the inflated data on a
+    // record boundary, so the records alone look whole; 12 ends it
+    // mid-record.
+    if (!binTraceGzipAvailable())
+        GTEST_SKIP() << "built without zlib";
+    const auto base = tracePath("gzip_cut_base");
+    writeRecords(base, chunkEdgeRecords(20000), /* gzip */ true);
+    const std::string whole = fileBytes(base);
+    const auto path = tracePath("gzip_cut");
+    for (const std::size_t cut : {1u, 8u, 12u, 258u, 12286u}) {
+        SCOPED_TRACE("cut " + std::to_string(cut));
+        ASSERT_LT(cut, whole.size());
+        writeBytes(path, whole.substr(0, whole.size() - cut));
+        const std::string message =
+            "truncated trace '.*' \\(gzip stream ends early\\)";
+        EXPECT_EXIT(decodeAllByNext(path), ::testing::ExitedWithCode(1),
+                    message);
+        EXPECT_EXIT(decodeAllBySkip(path), ::testing::ExitedWithCode(1),
+                    message);
+        EXPECT_EXIT(decodeAllByStripes(path), ::testing::ExitedWithCode(1),
+                    message);
+    }
+    std::remove(path.c_str());
+    std::remove(base.c_str());
+}
+
 TEST(TraceSource, StripingPartitionsTheStream)
 {
     const auto path = tracePath("stripe");

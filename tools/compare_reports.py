@@ -22,17 +22,10 @@ Comparison rules
 
 Usage:
     tools/compare_reports.py baseline.json candidate.json \
-        [--rtol 1e-4] [--atol 1e-9] [--max-diffs 20] \
-        [--ignore-spec-key KEY]...
+        [--rtol 1e-4] [--atol 1e-9] [--max-diffs 20]
 
-``--ignore-spec-key KEY`` (repeatable) drops ``KEY=...`` tokens from
-every canonical config spec (the ``configs`` values and each run's
-``spec``) and the matching ``params`` entries before comparing
-(``normalize_specs``).  tools/check_equivalence.py uses it to prove a
-forced ``state_backend=`` leg byte-identical to its baseline: the
-backend token is the one *intended* spec difference, and every metric
-must still match at rtol 0.  Run ``host`` objects (the volatile
-partition) are never compared — only spec/metrics/epochs are.
+Run ``host`` objects (the volatile partition) are never compared —
+only spec/metrics/epochs are.
 
 Exit status: 0 when the reports match, 1 when they differ, 2 when an
 input is not an ``accord.run_report/1`` document at all (a wrong file
@@ -62,40 +55,6 @@ def require_schema(doc, path):
         print(f"compare_reports: {path} is not a {SCHEMA} document "
               f"(schema={got!r}); refusing to diff")
         sys.exit(2)
-
-
-def strip_spec_keys(spec, keys):
-    """Drop ``key=value`` tokens for the given keys from a canonical
-    config spec (space-separated ``key=value`` tokens)."""
-    if not isinstance(spec, str) or not keys:
-        return spec
-    kept = [token for token in spec.split(" ")
-            if token.split("=", 1)[0] not in keys]
-    return " ".join(kept)
-
-
-def normalize_specs(doc, keys):
-    """Apply strip_spec_keys to every spec surface of a report.
-
-    Also drops the keys from ``params`` — benches echo their CLI
-    arguments there, so a forced ``state_backend=`` leg differs in
-    ``params`` exactly as it does in the specs.
-    """
-    if not keys:
-        return
-    params = doc.get("params")
-    if isinstance(params, dict):
-        for key in keys:
-            params.pop(key, None)
-    configs = doc.get("configs")
-    if isinstance(configs, dict):
-        for name in configs:
-            configs[name] = strip_spec_keys(configs[name], keys)
-    runs = doc.get("runs")
-    if isinstance(runs, dict):
-        for run in runs.values():
-            if isinstance(run, dict) and "spec" in run:
-                run["spec"] = strip_spec_keys(run["spec"], keys)
 
 
 class Differ:
@@ -229,10 +188,6 @@ def main():
                         help="absolute tolerance for numeric values")
     parser.add_argument("--max-diffs", type=int, default=20,
                         help="cap on printed differences")
-    parser.add_argument("--ignore-spec-key", action="append",
-                        default=[], metavar="KEY",
-                        help="drop KEY=... tokens from config specs "
-                             "before comparing (repeatable)")
     args = parser.parse_args()
 
     with open(args.baseline, encoding="utf-8") as fh:
@@ -241,8 +196,6 @@ def main():
         cand = json.load(fh)
     require_schema(base, args.baseline)
     require_schema(cand, args.candidate)
-    normalize_specs(base, set(args.ignore_spec_key))
-    normalize_specs(cand, set(args.ignore_spec_key))
 
     diffs = compare_reports(base, cand, args.rtol, args.atol,
                             args.max_diffs)
